@@ -6,16 +6,13 @@ module Mapping = Mhla_core.Mapping
 
 type t = { inc : Incremental.t }
 
-let start ?transfer_mode ?reuse ?policy ?layer_budgets ?suppress program
-    hierarchy =
+let start ?transfer_mode ?reuse ?policy ?suppress program hierarchy =
   let origin = Mapping.direct ?transfer_mode ?reuse program hierarchy in
-  { inc = Incremental.create ?policy ?layer_budgets ?suppress origin }
+  { inc = Incremental.create ?policy ?suppress origin }
 
 let of_config ?reuse ?suppress (config : Assign.config) program hierarchy =
   start ~transfer_mode:config.Assign.transfer_mode
-    ~policy:config.Assign.policy
-    ?layer_budgets:config.Assign.layer_budgets ?reuse ?suppress program
-    hierarchy
+    ~policy:config.Assign.policy ?reuse ?suppress program hierarchy
 
 let on_commit t move = Incremental.apply t.inc move
 

@@ -15,7 +15,6 @@ val start :
   ?transfer_mode:Mhla_reuse.Candidate.transfer_mode ->
   ?reuse:Mhla_core.Mapping.reuse ->
   ?policy:Mhla_lifetime.Occupancy.policy ->
-  ?layer_budgets:int list ->
   ?suppress:Suppress.t ->
   Mhla_ir.Program.t ->
   Mhla_arch.Hierarchy.t ->
@@ -28,8 +27,8 @@ val of_config :
   Mhla_ir.Program.t ->
   Mhla_arch.Hierarchy.t ->
   t
-(** {!start} with the transfer mode, sizing policy and layer budgets
-    the solve's config carries — keeping the verifier's assumptions
+(** {!start} with the transfer mode and sizing policy the solve's
+    config carries — keeping the verifier's assumptions
     aligned with the search's. *)
 
 val on_commit : t -> Mhla_core.Engine.move -> unit

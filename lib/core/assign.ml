@@ -9,7 +9,6 @@ type config = {
   policy : Mhla_lifetime.Occupancy.policy;
   allow_array_promotion : bool;
   max_chain_length : int;
-  layer_budgets : int list option;
   cc_filter : (Analysis.info -> Candidate.t -> bool) option;
 }
 
@@ -20,7 +19,6 @@ let default_config =
     policy = Mhla_lifetime.Occupancy.In_place;
     allow_array_promotion = true;
     max_chain_length = 2;
-    layer_budgets = None;
     cc_filter = None;
   }
 
@@ -35,24 +33,6 @@ type result = {
   cache_hits : int;
   cache_misses : int;
 }
-
-let result ?(engine_stats = None) ~full_evaluations mapping breakdown steps
-    evaluations =
-  let cache_hits, cache_misses =
-    match engine_stats with
-    | None -> (0, 0)
-    | Some (s : Engine.stats) ->
-      (s.Engine.contribs_reused, s.Engine.contribs_recomputed)
-  in
-  {
-    mapping;
-    breakdown;
-    steps;
-    evaluations;
-    full_evaluations;
-    cache_hits;
-    cache_misses;
-  }
 
 (* Copy chains: pick a strictly-decreasing-level subsequence of the
    useful candidates and a strictly-increasing run of on-chip layers.
@@ -158,11 +138,10 @@ let array_moves config (m : Mapping.t) =
 
 (* The placement alternatives of an access depend only on the config
    and the hierarchy's on-chip levels, never on the current placements
-   — so the engine-driven searches compute them once and reuse the
-   {e physically same} values every round, which turns the engine's
-   per-entry (placement, home) memo into pointer-compare hits. The
-   from-scratch [moves] builds structurally identical lists, so both
-   flavours probe the same moves in the same order. *)
+   — so the searches compute them once and reuse the {e physically
+   same} values every round, which turns the engine's per-entry
+   (placement, home) memo into pointer-compare hits. [moves] builds
+   structurally identical lists. *)
 let all_alternatives config (m : Mapping.t) =
   List.map
     (fun (info : Analysis.info) -> (info, alternatives config m info))
@@ -173,46 +152,68 @@ let moves_with ~alts config m = placement_moves_of m alts @ array_moves config m
 let moves config (m : Mapping.t) =
   moves_with ~alts:(all_alternatives config m) config m
 
-(* Budgets tighter than the physical capacities: peak occupancy of
-   on-chip level [i] must also stay within [budgets.(i)]. A shorter
-   list leaves the remaining levels capacity-bound only. *)
-let within_budgets config (m : Mapping.t) =
-  match config.layer_budgets with
-  | None -> true
-  | Some budgets ->
-    let rec check levels budgets =
-      match (levels, budgets) with
-      | _, [] -> true
-      | [], _ :: _ ->
-        Mhla_util.Error.invalidf ~context:"Assign.feasible"
-          ~hint:"give at most one budget per on-chip level"
-          "more layer budgets than on-chip levels"
-      | level :: ls, b :: bs ->
-        if b < 0 then
-          Mhla_util.Error.invalidf ~context:"Assign.feasible"
-            "negative budget %d for level %d" b level;
-        Mhla_lifetime.Occupancy.peak_bytes config.policy
-          (Mapping.layer_blocks m ~level)
-        <= b
-        && check ls bs
-    in
-    check (Hierarchy.on_chip_levels m.Mapping.hierarchy) budgets
-
-let feasible config m =
-  Mapping.occupancy_ok ~policy:config.policy m && within_budgets config m
+let feasible config m = Mapping.occupancy_ok ~policy:config.policy m
 
 (* Strict-improvement threshold: relative 1e-9 guards against float
    noise causing non-termination. *)
 let improves ~current ~candidate =
   candidate < current -. (1e-9 *. (Float.abs current +. 1.))
 
-(* The two search drivers each exist in two flavours selected by
-   [?oracle]: the engine flavour probes moves through the incremental
-   {!Engine}, the oracle flavour re-runs [Cost.evaluate] from scratch.
-   Both probe the same moves in the same order and compare values the
-   same way, and [Engine.probe] is bit-identical to the full
-   evaluation, so the two flavours take identical decisions and return
-   identical mappings — the property the test suite pins down. *)
+(* What a search needs from the objective. Each search runs one loop
+   over an evaluator, built one of two ways selected by [?oracle]:
+   the engine evaluator probes moves through the incremental {!Engine},
+   the oracle evaluator re-runs [Cost.evaluate] from scratch and is the
+   reference the tests compare against. [Engine.probe] is bit-identical
+   to the full evaluation, so both take identical decisions and return
+   identical mappings. *)
+type evaluator = {
+  start : unit -> float;  (* objective of the start mapping *)
+  probe : move -> Mapping.t -> float;
+      (* objective after [move], given the moved mapping *)
+  commit : move -> unit;  (* advance the evaluator's position *)
+  from_scratch : bool;  (* every evaluation is a full [Cost.evaluate] *)
+  cache : unit -> int * int;  (* engine contributions reused, recomputed *)
+}
+
+let objective config m = Cost.scalar config.objective (Cost.evaluate m)
+
+let oracle_evaluator config start =
+  {
+    start = (fun () -> objective config start);
+    probe = (fun _ next -> objective config next);
+    commit = ignore;
+    from_scratch = true;
+    cache = (fun () -> (0, 0));
+  }
+
+let engine_evaluator ~telemetry config start =
+  let engine = Engine.create ~telemetry ~objective:config.objective start in
+  {
+    start = (fun () -> Engine.objective_value engine);
+    probe = (fun move _ -> Engine.probe engine move);
+    commit = Engine.commit engine;
+    from_scratch = false;
+    cache =
+      (fun () ->
+        let s = Engine.stats engine in
+        (s.Engine.contribs_reused, s.Engine.contribs_recomputed));
+  }
+
+let evaluator ~oracle ~telemetry config start =
+  if oracle then oracle_evaluator config start
+  else engine_evaluator ~telemetry config start
+
+let result ev ~evaluations mapping steps =
+  let cache_hits, cache_misses = ev.cache () in
+  {
+    mapping;
+    breakdown = Cost.evaluate mapping;
+    steps;
+    evaluations;
+    full_evaluations = (if ev.from_scratch then evaluations else 0);
+    cache_hits;
+    cache_misses;
+  }
 
 let no_checkpoint () = ()
 
@@ -229,127 +230,65 @@ let greedy ?(config = default_config) ?(oracle = false)
           Telemetry.Str (Fmt.str "%a" Cost.pp_objective config.objective) )
       ])
   @@ fun () ->
-  let evaluations = ref 0 in
   let start =
     Mapping.direct ~transfer_mode:config.transfer_mode ?reuse program
       hierarchy
   in
-  let mk_step move ~current ~value =
-    let step =
-      {
-        description = describe_move move;
-        gain = current -. value;
-        objective_after = value;
-      }
-    in
-    Telemetry.instant telemetry ~cat:"assign" "greedy.step"
-      ~args:(fun () ->
-        [ ("move", Telemetry.Str step.description);
-          ("gain", Telemetry.Float step.gain);
-          ("objective_before", Telemetry.Float current);
-          ("objective_after", Telemetry.Float value) ]);
-    step
-  in
-  if oracle then begin
-    let objective m =
+  let ev = evaluator ~oracle ~telemetry config start in
+  let alts = all_alternatives config start in
+  let evaluations = ref 1 (* the start value *) in
+  (* [Some (move, next, value)] when [move] is feasible from [m] and
+     improves on [current]. *)
+  let candidate m current move =
+    let next = apply_move m move in
+    if not (feasible config next) then None
+    else begin
       incr evaluations;
-      Cost.scalar config.objective (Cost.evaluate m)
-    in
-    let rec descend m current steps =
-      checkpoint ();
-      let try_move best move =
-        let next = apply_move m move in
-        if not (feasible config next) then best
-        else begin
-          let value = objective next in
-          match best with
-          | Some (_, _, best_value) when value >= best_value -> best
-          | Some _ | None ->
-            if improves ~current ~candidate:value then Some (move, next, value)
-            else best
-        end
+      let value = ev.probe move next in
+      if improves ~current ~candidate:value then Some (move, next, value)
+      else None
+    end
+  in
+  (* Steepest descent keeps the best improving move of the round;
+     first-improving descent commits the first one in the
+     deterministic move order (fewer probes per round, more rounds). *)
+  let select m current ms =
+    if first_improvement then List.find_map (candidate m current) ms
+    else
+      List.fold_left
+        (fun best move ->
+          match (best, candidate m current move) with
+          | Some (_, _, best_value), Some (_, _, value)
+            when value >= best_value ->
+            best
+          | best, None -> best
+          | _, better -> better)
+        None ms
+  in
+  let rec descend m current steps =
+    checkpoint ();
+    match select m current (moves_with ~alts config m) with
+    | None -> (m, List.rev steps)
+    | Some (move, next, value) ->
+      let step =
+        {
+          description = describe_move move;
+          gain = current -. value;
+          objective_after = value;
+        }
       in
-      (* First-improving descent (a policy alternative to steepest):
-         commit the first move that improves, in the deterministic
-         [moves] order, instead of scanning them all. *)
-      let select ms =
-        if first_improvement then
-          List.find_map
-            (fun move ->
-              let next = apply_move m move in
-              if not (feasible config next) then None
-              else begin
-                let value = objective next in
-                if improves ~current ~candidate:value then
-                  Some (move, next, value)
-                else None
-              end)
-            ms
-        else List.fold_left try_move None ms
-      in
-      match select (moves config m) with
-      | None -> (m, current, List.rev steps)
-      | Some (move, next, value) ->
-        on_commit move;
-        descend next value (mk_step move ~current ~value :: steps)
-    in
-    let start_value = objective start in
-    let mapping, _, steps = descend start start_value [] in
-    result ~full_evaluations:!evaluations mapping (Cost.evaluate mapping)
-      steps !evaluations
-  end
-  else begin
-    let engine =
-      Engine.create ~telemetry ~objective:config.objective start
-    in
-    let alts = all_alternatives config start in
-    let rec descend current steps =
-      checkpoint ();
-      let m = Engine.mapping engine in
-      let try_move best move =
-        let next = apply_move m move in
-        if not (feasible config next) then best
-        else begin
-          incr evaluations;
-          let value = Engine.probe engine move in
-          match best with
-          | Some (_, best_value) when value >= best_value -> best
-          | Some _ | None ->
-            if improves ~current ~candidate:value then Some (move, value)
-            else best
-        end
-      in
-      let select ms =
-        if first_improvement then
-          List.find_map
-            (fun move ->
-              let next = apply_move m move in
-              if not (feasible config next) then None
-              else begin
-                incr evaluations;
-                let value = Engine.probe engine move in
-                if improves ~current ~candidate:value then Some (move, value)
-                else None
-              end)
-            ms
-        else List.fold_left try_move None ms
-      in
-      match select (moves_with ~alts config m) with
-      | None -> (m, current, List.rev steps)
-      | Some (move, value) ->
-        let step = mk_step move ~current ~value in
-        Engine.commit engine move;
-        on_commit move;
-        descend value (step :: steps)
-    in
-    incr evaluations (* parity with the oracle's initial evaluation *);
-    let start_value = Engine.objective_value engine in
-    let mapping, _, steps = descend start_value [] in
-    result
-      ~engine_stats:(Some (Engine.stats engine))
-      ~full_evaluations:0 mapping (Engine.breakdown engine) steps
-      !evaluations
-  end
+      Telemetry.instant telemetry ~cat:"assign" "greedy.step"
+        ~args:(fun () ->
+          [ ("move", Telemetry.Str step.description);
+            ("gain", Telemetry.Float step.gain);
+            ("objective_before", Telemetry.Float current);
+            ("objective_after", Telemetry.Float value) ]);
+      ev.commit move;
+      on_commit move;
+      descend next value (step :: steps)
+  in
+  let mapping, steps = descend start (ev.start ()) [] in
+  result ev ~evaluations:!evaluations mapping steps
 
 let simulated_annealing ?(config = default_config) ?(oracle = false)
     ?(telemetry = Telemetry.noop) ?reuse ?(checkpoint = no_checkpoint)
@@ -362,28 +301,13 @@ let simulated_annealing ?(config = default_config) ?(oracle = false)
         ("iterations", Telemetry.Int iterations) ])
   @@ fun () ->
   let prng = Mhla_util.Prng.create ~seed in
-  let evaluations = ref 0 in
-  let full_evaluations = ref 0 in
   let start =
     Mapping.direct ~transfer_mode:config.transfer_mode ?reuse program
       hierarchy
   in
-  let engine =
-    if oracle then None
-    else Some (Engine.create ~telemetry ~objective:config.objective start)
-  in
-  let objective_full m =
-    incr evaluations;
-    incr full_evaluations;
-    Cost.scalar config.objective (Cost.evaluate m)
-  in
-  let start_value =
-    match engine with
-    | None -> objective_full start
-    | Some e ->
-      incr evaluations;
-      Engine.objective_value e
-  in
+  let ev = evaluator ~oracle ~telemetry config start in
+  let evaluations = ref 1 (* the start value *) in
+  let start_value = ev.start () in
   let current = ref start in
   let current_value = ref start_value in
   let best = ref start in
@@ -398,9 +322,6 @@ let simulated_annealing ?(config = default_config) ?(oracle = false)
     else (t_end /. t0) ** (1. /. float_of_int (iterations - 1))
   in
   let temperature = ref t0 in
-  (* Both flavours share the loop; the alternatives are placement-
-     independent so they are computed once (structurally identical to
-     what per-iteration [moves] would build). *)
   let alts = all_alternatives config start in
   for iter = 1 to iterations do
     checkpoint ();
@@ -410,13 +331,8 @@ let simulated_annealing ?(config = default_config) ?(oracle = false)
       let move = Mhla_util.Prng.pick prng all_moves in
       let next = apply_move !current move in
       if feasible config next then begin
-        let value =
-          match engine with
-          | None -> objective_full next
-          | Some e ->
-            incr evaluations;
-            Engine.probe e move
-        in
+        incr evaluations;
+        let value = ev.probe move next in
         let delta = value -. !current_value in
         let accept =
           delta < 0.
@@ -430,7 +346,7 @@ let simulated_annealing ?(config = default_config) ?(oracle = false)
               ("delta", Telemetry.Float delta);
               ("objective", Telemetry.Float value) ]);
         if accept then begin
-          (match engine with None -> () | Some e -> Engine.commit e move);
+          ev.commit move;
           on_commit move;
           current := next;
           current_value := value;
@@ -455,10 +371,7 @@ let simulated_annealing ?(config = default_config) ?(oracle = false)
       end);
     temperature := !temperature *. decay
   done;
-  result
-    ~engine_stats:(Option.map Engine.stats engine)
-    ~full_evaluations:!full_evaluations !best (Cost.evaluate !best)
-    (List.rev !steps) !evaluations
+  result ev ~evaluations:!evaluations !best (List.rev !steps)
 
 let exhaustive ?(config = default_config) ?reuse ~max_states program
     hierarchy =
@@ -486,7 +399,7 @@ let exhaustive ?(config = default_config) ?reuse ~max_states program
       | [] ->
         if feasible config m then begin
           incr evaluations;
-          let value = Cost.scalar config.objective (Cost.evaluate m) in
+          let value = objective config m in
           match !best with
           | Some (_, best_value) when best_value <= value -> ()
           | Some _ | None -> best := Some (m, value)
@@ -501,6 +414,7 @@ let exhaustive ?(config = default_config) ?reuse ~max_states program
     | None -> Error "exhaustive: no feasible mapping (capacity too small?)"
     | Some (mapping, _) ->
       Ok
-        (result ~full_evaluations:!evaluations mapping
-           (Cost.evaluate mapping) [] !evaluations)
+        (result
+           (oracle_evaluator config start)
+           ~evaluations:!evaluations mapping [])
   end

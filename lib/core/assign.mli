@@ -8,6 +8,13 @@
     whole array to/from an on-chip layer. Feasibility is the in-place-
     optimised occupancy of every on-chip layer.
 
+    Each search ({!greedy}, {!simulated_annealing}) is one loop over
+    an evaluator of the objective. By default the evaluator probes
+    moves through the incremental {!Engine}; [~oracle:true] swaps in
+    from-scratch [Cost.evaluate] calls instead. The engine is
+    bit-exact, so both return identical results; the oracle exists as
+    the reference the tests compare the engine against.
+
     {!exhaustive} searches the full placement space (arrays kept
     off-chip) and is used in tests and the EXT-GREEDY ablation to
     measure the greedy's optimality gap on small instances. *)
@@ -20,13 +27,6 @@ type config = {
   max_chain_length : int;
       (** cap on copy-chain depth; the hierarchy's on-chip depth is
           also always a cap *)
-  layer_budgets : int list option;
-      (** per-layer byte budgets tighter than the physical capacities,
-          innermost level first; [None] (the default) constrains by
-          capacity alone. A shorter list leaves the remaining levels
-          capacity-bound. Budgets cap the assignment step's occupancy;
-          to also cap the TE double buffers, shrink the hierarchy
-          itself (what {!Explore.pareto} does per grid point). *)
   cc_filter : (Mhla_reuse.Analysis.info -> Mhla_reuse.Candidate.t -> bool)
               option;
       (** the CC-selection policy hook: when set, only candidates the
@@ -43,7 +43,7 @@ val default_config : config
 (** Energy-delay objective (the balanced trade-off point the figures
     report), [Delta] transfers (the full technique with inter-copy
     reuse), in-place sizing, array promotion on, chains up to depth
-    2, no layer budgets, no CC filter. *)
+    2, no CC filter. *)
 
 (** One applied move, for reporting. *)
 type step = {
@@ -77,8 +77,6 @@ type move = Engine.move =
   | Set_placement of Mhla_reuse.Analysis.access_ref * Mapping.placement
   | Set_array of string * int option
 
-val describe_move : move -> string
-
 val apply_move : Mapping.t -> move -> Mapping.t
 (** Functional application through the validating [Mapping] updates. *)
 
@@ -88,10 +86,7 @@ val moves : config -> Mapping.t -> move list
     promotions/demotions (when allowed). *)
 
 val feasible : config -> Mapping.t -> bool
-(** Occupancy of every on-chip layer under the config's policy, plus
-    the config's per-layer budgets when set.
-    @raise Mhla_util.Error.Error on a negative budget or more budgets
-    than on-chip levels. *)
+(** Occupancy of every on-chip layer under the config's policy. *)
 
 val greedy :
   ?config:config ->
@@ -108,12 +103,11 @@ val greedy :
     first-improving descent: each round commits the first move of the
     deterministic move order that improves the objective instead of
     scanning every move for the best one (fewer probes per round, more
-    rounds, a different — not necessarily worse — local optimum).
-    Probes run through the incremental {!Engine}
-    unless [oracle] (default [false]) forces from-scratch
-    [Cost.evaluate] calls; both flavours return identical results (the
-    engine is bit-exact), the oracle flavour exists as the reference to
-    test against. [reuse] shares a precomputed analysis/schedule (see
+    rounds, a different — not necessarily worse — local optimum). Both
+    run the same loop; only the selection step differs. Probes go
+    through the {!Engine} evaluator unless [oracle] (default [false])
+    selects the from-scratch reference evaluator; the result is the
+    same either way. [reuse] shares a precomputed analysis/schedule (see
     {!Mapping.precompute}). [telemetry] (default noop) records an
     [assign.greedy] span, one [greedy.step] event per applied move and
     the engine's spans/counters; it never changes the result.
@@ -156,8 +150,9 @@ val simulated_annealing :
     Deterministic for a given [seed] (default [42L]); [iterations]
     defaults to [4000]. Escapes the local optima steepest descent can
     fall into (see the EXT-SEARCH bench), at ~30x the evaluations.
-    [oracle]/[reuse] as in {!greedy}; both flavours draw the same
-    pseudo-random sequence and take identical decisions. [telemetry]
+    [oracle]/[reuse] as in {!greedy}: the loop is the same over either
+    evaluator, so both draw the same pseudo-random sequence and take
+    identical decisions. [telemetry]
     records an [assign.anneal] span and per-iteration
     [anneal.accept]/[anneal.reject] events carrying the temperature,
     plus [anneal.best] marks on improvements — the annealing trajectory

@@ -335,9 +335,7 @@ let create ?(telemetry = Telemetry.noop) ~objective (m : Mapping.t) =
 
 let mapping t = t.mapping
 
-let breakdown t = fst (totals t)
-
-let objective_value t = Cost.scalar t.objective (breakdown t)
+let objective_value t = Cost.scalar t.objective (fst (totals t))
 
 let move_kind = function
   | Set_placement _ -> "set_placement"

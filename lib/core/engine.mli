@@ -82,10 +82,8 @@ val commit : t -> move -> unit
     rejects the move; the engine is unchanged in that case. *)
 
 val objective_value : t -> float
-(** [Cost.scalar objective] of {!breakdown}. *)
-
-val breakdown : t -> Cost.breakdown
-(** The full cost breakdown at the current position, re-folded from the
-    cache; bit-identical to [Cost.evaluate (mapping t)]. *)
+(** [Cost.scalar objective] of the cost breakdown at the current
+    position, re-folded from the cache; bit-identical to
+    [Cost.scalar objective (Cost.evaluate (mapping t))]. *)
 
 val stats : t -> stats

@@ -134,16 +134,19 @@ let instant t ?(cat = "") ?args name =
   | Noop -> ()
   | Active a -> record a Instant ~cat ~name (force_args args)
 
+(* The event carries the increment, not the sink's running total: a
+   worker sink's total depends on which tasks the pool handed it, the
+   increment only on the task that counted. *)
 let count t ?(cat = "") name d =
   match t with
   | Noop -> ()
   | Active a ->
+    let d = float_of_int d in
     let v =
-      (match Hashtbl.find_opt a.counters name with Some v -> v | None -> 0.)
-      +. float_of_int d
+      match Hashtbl.find_opt a.counters name with Some v -> v | None -> 0.
     in
-    Hashtbl.replace a.counters name v;
-    record a Counter ~cat ~name [ (name, Float v) ]
+    Hashtbl.replace a.counters name (v +. d);
+    record a Counter ~cat ~name [ (name, Float d) ]
 
 let gauge t ?(cat = "") name v =
   match t with

@@ -23,7 +23,9 @@ type kind =
   | Span_begin  (** opening of a nested span *)
   | Span_end  (** closing of the innermost open span *)
   | Instant  (** a point event *)
-  | Counter  (** monotonically accumulated; the event carries the new total *)
+  | Counter
+      (** accumulated; the event carries the increment, the sink keeps
+          the total (see {!counter_values}) *)
   | Gauge  (** last-write-wins level; the event carries the new value *)
 
 type event = {
@@ -99,7 +101,10 @@ val instant :
 
 val count : t -> ?cat:string -> string -> int -> unit
 (** [count t name d] adds [d] to counter [name] and records a [Counter]
-    event carrying the new total. *)
+    event carrying [d]. The payload depends only on the call, never on
+    what the sink counted before, so the events of a task are the same
+    whichever worker sink records them; the running total lives in the
+    sink's table, which {!merge_children} sums. *)
 
 val gauge : t -> ?cat:string -> string -> float -> unit
 (** [gauge t name v] sets gauge [name] to [v] and records a [Gauge]

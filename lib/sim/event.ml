@@ -85,16 +85,6 @@ let validate_stream s =
      || s.setup_cycles < 0 || s.bytes_per_issue < 0
   then reject "negative stream parameter"
 
-let stream_of_params (p : Pipeline.params) =
-  {
-    issues = p.Pipeline.issues;
-    bytes_per_issue = 0;
-    transfer_cycles = p.Pipeline.transfer_cycles;
-    compute_cycles = p.Pipeline.compute_cycles;
-    lookahead = p.Pipeline.lookahead;
-    setup_cycles = p.Pipeline.setup_cycles;
-  }
-
 let transfer_latency c s =
   match c.waitstates with
   | None -> s.transfer_cycles

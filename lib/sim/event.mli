@@ -90,9 +90,6 @@ type stream = {
   setup_cycles : int;
 }
 
-val stream_of_params : Pipeline.params -> stream
-(** [bytes_per_issue = 0]; pair with a waitstate-free config. *)
-
 val transfer_latency : config -> stream -> int
 (** Nominal (fault-free) cycles of one transfer under the config's
     waitstate table, or [stream.transfer_cycles] without one. *)

@@ -79,10 +79,6 @@ let make ?(jitter = No_jitter) ?(failure_permille = 0) ?(outages = [])
   validate t;
   t
 
-let is_zero t =
-  t.jitter = No_jitter && t.failure_permille = 0 && t.outages = []
-  && t.deadline_patience = None
-
 (* One throwaway generator per (purpose, transfer, attempt): the draw
    for a given attempt never depends on how many draws other transfers
    made, so traces stay reproducible under reordering. splitmix64's

@@ -74,9 +74,6 @@ val validate : t -> unit
     [0..1000], any count is negative, or an outage window is
     malformed. *)
 
-val is_zero : t -> bool
-(** No disturbance of any kind: {!Pipeline.run_faulty} degenerates to
-    {!Pipeline.run}. *)
 
 val jitter_cycles : t -> transfer:int -> attempt:int -> int
 (** Extra latency sampled for this attempt. Deterministic in

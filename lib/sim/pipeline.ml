@@ -241,8 +241,3 @@ let steady_state_stall p =
 let pp_outcome ppf o =
   Fmt.pf ppf "total %d, stall %d, dma busy %d" o.total_cycles o.stall_cycles
     o.dma_busy_cycles
-
-let pp_fault_outcome ppf f =
-  Fmt.pf ppf "%a; retries %d, fallbacks %d, failed attempts %d, jitter %d"
-    pp_outcome f.fault_result f.retries f.fallbacks f.failed_attempts
-    f.jitter_total_cycles

@@ -59,8 +59,6 @@ val run_faulty :
     iteration.
     @raise Mhla_util.Error.Error on invalid [params] or fault model. *)
 
-val pp_fault_outcome : fault_outcome Fmt.t
-
 val analytic_stall : params -> int
 (** The tool's (Figure-1) stall arithmetic for the same stream:
     [issues * max 0 (transfer_cycles - lookahead * compute_cycles)].

@@ -33,6 +33,27 @@ fi
 echo "== dune runtest =="
 dune runtest
 
+echo "== -j determinism reruns =="
+# The jobs:1 == jobs:N cases depend on how the domain pool happens to
+# schedule tasks, so one green run proves little: rerun each about 20
+# times and fail on the first red run.
+runs=20
+for spec in "obs merge" "explore sweep 2,3" "explore pareto 1" \
+    "policy portfolio 0,1" "esim determinism 2"; do
+  set -- $spec
+  exe="_build/default/test/test_$1.exe"
+  shift
+  i=1
+  while [ "$i" -le "$runs" ]; do
+    "$exe" test "$@" >/dev/null 2>&1 || {
+      echo "determinism case '$spec' failed on rerun $i of $runs" >&2
+      "$exe" test "$@" >&2 || true
+      exit 1
+    }
+    i=$((i + 1))
+  done
+done
+
 echo "== CLI smoke =="
 dune exec -- bin/mhla_cli.exe list >/dev/null
 dune exec -- bin/mhla_cli.exe robustness motion_estimation --trials 2 \

@@ -265,6 +265,28 @@ let fingerprint (r : Assign.result) =
     r.Assign.steps,
     r.Assign.breakdown )
 
+(* A search run with an [on_commit] recorder: its fingerprint plus the
+   sequence of moves it reported committing, in order. *)
+let observed search =
+  let committed = ref [] in
+  let r = search ~on_commit:(fun move -> committed := move :: !committed) in
+  (r, (fingerprint r, List.rev !committed))
+
+(* Steepest and first-improving descent, each through both evaluators. *)
+let greedy_flavours ?config program h =
+  List.map
+    (fun first_improvement ->
+      let run oracle =
+        observed (fun ~on_commit ->
+            Assign.greedy ?config ~oracle ~first_improvement ~on_commit
+              program h)
+      in
+      (first_improvement, run false, run true))
+    [ false; true ]
+
+let descent_label first_improvement =
+  if first_improvement then "first-improving" else "steepest"
+
 let test_greedy_engine_equals_oracle_on_apps () =
   List.iter
     (fun (app : Mhla_apps.Defs.t) ->
@@ -272,14 +294,18 @@ let test_greedy_engine_equals_oracle_on_apps () =
       let h =
         Presets.two_level ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes ()
       in
-      let engine = Assign.greedy program h in
-      let oracle = Assign.greedy ~oracle:true program h in
-      Alcotest.(check bool)
-        (app.Mhla_apps.Defs.name ^ ": identical result") true
-        (fingerprint engine = fingerprint oracle);
-      Alcotest.(check int)
-        (app.Mhla_apps.Defs.name ^ ": same evaluation count")
-        oracle.Assign.evaluations engine.Assign.evaluations)
+      List.iter
+        (fun (first_improvement, (engine, seen_e), (oracle, seen_o)) ->
+          let label =
+            Printf.sprintf "%s %s" app.Mhla_apps.Defs.name
+              (descent_label first_improvement)
+          in
+          Alcotest.(check bool) (label ^ ": identical result") true
+            (seen_e = seen_o);
+          Alcotest.(check int)
+            (label ^ ": same evaluation count")
+            oracle.Assign.evaluations engine.Assign.evaluations)
+        (greedy_flavours program h))
     Mhla_apps.Registry.all
 
 let test_greedy_engine_equals_oracle_on_kernel () =
@@ -289,12 +315,13 @@ let test_greedy_engine_equals_oracle_on_kernel () =
       let h = Presets.two_level ~onchip_bytes:budget () in
       List.iter
         (fun config ->
-          let engine = Assign.greedy ~config program h in
-          let oracle = Assign.greedy ~config ~oracle:true program h in
-          Alcotest.(check bool)
-            (Printf.sprintf "budget %d: identical result" budget)
-            true
-            (fingerprint engine = fingerprint oracle))
+          List.iter
+            (fun (first_improvement, (_, seen_e), (_, seen_o)) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "budget %d %s: identical result" budget
+                   (descent_label first_improvement))
+                true (seen_e = seen_o))
+            (greedy_flavours ~config program h))
         [ Assign.default_config; cycles_config ])
     [ 64; 512; 4096 ]
 
@@ -303,17 +330,16 @@ let test_anneal_engine_equals_oracle () =
   List.iter
     (fun (budget, seed) ->
       let h = Presets.two_level ~onchip_bytes:budget () in
-      let engine =
-        Assign.simulated_annealing ~seed ~iterations:600 program h
-      in
-      let oracle =
-        Assign.simulated_annealing ~oracle:true ~seed ~iterations:600
-          program h
+      let run oracle =
+        snd
+          (observed (fun ~on_commit ->
+               Assign.simulated_annealing ~oracle ~seed ~iterations:600
+                 ~on_commit program h))
       in
       Alcotest.(check bool)
         (Printf.sprintf "budget %d seed %Ld: identical result" budget seed)
         true
-        (fingerprint engine = fingerprint oracle))
+        (run false = run true))
     [ (128, 7L); (512, 7L); (512, 1234L) ]
 
 let test_result_evaluation_accounting () =
