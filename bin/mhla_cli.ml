@@ -1288,7 +1288,8 @@ let fuzz_cmd =
         | Oracle.No_mutation -> ""
         | Oracle.Drift_engine -> " --mutate engine"
         | Oracle.Drift_interp -> " --mutate interp"
-        | Oracle.Drift_verify -> " --mutate verify");
+        | Oracle.Drift_verify -> " --mutate verify"
+        | Oracle.Drift_feasible -> " --mutate feasibility");
       exit 1
   in
   let seed_arg =
@@ -1323,15 +1324,16 @@ let fuzz_cmd =
     Arg.(value & opt (enum Oracle.mutation_names) Oracle.No_mutation
          & info [ "mutate" ] ~docv:"KIND"
              ~doc:"Self-test: seed a deliberate drift into one differential \
-                   (engine or interp) — the run must then exit 1 with a \
-                   shrunk counterexample. Default: none.")
+                   (engine, interp, verify or feasibility) — the run must \
+                   then exit 1 with a shrunk counterexample. Default: none.")
   in
   let doc =
     "Differential fuzzing: generate seeded random in-bounds programs, solve \
      each on a two-level DMA platform, and assert every cross-model \
-     invariant (incremental engine vs Cost.evaluate, simulated vs analytic \
-     stalls, static verifier on greedy and annealing outputs, trace \
-     interpreter vs predicted access counts, fault-injected degradation). \
+     invariant (incremental engine vs Cost.evaluate, incremental capacity \
+     feasibility vs the from-scratch check, simulated vs analytic stalls, \
+     static verifier on greedy and annealing outputs, trace interpreter \
+     vs predicted access counts, fault-injected degradation). \
      On a failure, prints a shrunk Build-DSL reproducer and exits 1."
   in
   Cmd.v (Cmd.info "fuzz" ~doc)

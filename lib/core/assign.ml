@@ -152,6 +152,18 @@ let moves_with ~alts config m = placement_moves_of m alts @ array_moves config m
 let moves config (m : Mapping.t) =
   moves_with ~alts:(all_alternatives config m) config m
 
+(* The searches' alternatives, each validated once through
+   [Mapping.with_placement] so no candidate move has to be. *)
+let checked_alternatives config (m : Mapping.t) =
+  let alts = all_alternatives config m in
+  List.iter
+    (fun ((info : Analysis.info), placements) ->
+      List.iter
+        (fun p -> ignore (Mapping.with_placement m info.Analysis.ref_ p))
+        placements)
+    alts;
+  alts
+
 let feasible config m = Mapping.occupancy_ok ~policy:config.policy m
 
 (* Strict-improvement threshold: relative 1e-9 guards against float
@@ -159,18 +171,21 @@ let feasible config m = Mapping.occupancy_ok ~policy:config.policy m
 let improves ~current ~candidate =
   candidate < current -. (1e-9 *. (Float.abs current +. 1.))
 
-(* What a search needs from the objective. Each search runs one loop
-   over an evaluator, built one of two ways selected by [?oracle]:
-   the engine evaluator probes moves through the incremental {!Engine},
-   the oracle evaluator re-runs [Cost.evaluate] from scratch and is the
-   reference the tests compare against. [Engine.probe] is bit-identical
-   to the full evaluation, so both take identical decisions and return
-   identical mappings. *)
+(* What a search needs from the objective and the capacity budget.
+   Each search runs one loop over an evaluator, built one of two ways
+   selected by [?oracle]: the engine evaluator asks the incremental
+   {!Engine} ([fits], then [probe]) and builds a mapping only on
+   commit; the oracle evaluator applies the move, re-runs [feasible]
+   and [Cost.evaluate] from scratch and is the reference the tests
+   compare against. Both answer bit-identically, so both take
+   identical decisions and return identical mappings. *)
 type evaluator = {
   start : unit -> float;  (* objective of the start mapping *)
-  probe : move -> Mapping.t -> float;
-      (* objective after [move], given the moved mapping *)
+  probe : move -> float option;
+      (* objective after [move] from the current position; [None] when
+         the moved mapping is over capacity *)
   commit : move -> unit;  (* advance the evaluator's position *)
+  mapping : unit -> Mapping.t;  (* the current position *)
   from_scratch : bool;  (* every evaluation is a full [Cost.evaluate] *)
   cache : unit -> int * int;  (* engine contributions reused, recomputed *)
 }
@@ -178,20 +193,32 @@ type evaluator = {
 let objective config m = Cost.scalar config.objective (Cost.evaluate m)
 
 let oracle_evaluator config start =
+  let current = ref start in
   {
     start = (fun () -> objective config start);
-    probe = (fun _ next -> objective config next);
-    commit = ignore;
+    probe =
+      (fun move ->
+        let next = apply_move !current move in
+        if feasible config next then Some (objective config next) else None);
+    commit = (fun move -> current := apply_move !current move);
+    mapping = (fun () -> !current);
     from_scratch = true;
     cache = (fun () -> (0, 0));
   }
 
 let engine_evaluator ~telemetry config start =
-  let engine = Engine.create ~telemetry ~objective:config.objective start in
+  let engine =
+    Engine.create ~telemetry ~policy:config.policy
+      ~objective:config.objective start
+  in
   {
     start = (fun () -> Engine.objective_value engine);
-    probe = (fun move _ -> Engine.probe engine move);
+    probe =
+      (fun move ->
+        if Engine.fits engine move then Some (Engine.probe engine move)
+        else None);
     commit = Engine.commit engine;
+    mapping = (fun () -> Engine.mapping engine);
     from_scratch = false;
     cache =
       (fun () ->
@@ -235,41 +262,37 @@ let greedy ?(config = default_config) ?(oracle = false)
       hierarchy
   in
   let ev = evaluator ~oracle ~telemetry config start in
-  let alts = all_alternatives config start in
+  let alts = checked_alternatives config start in
   let evaluations = ref 1 (* the start value *) in
-  (* [Some (move, next, value)] when [move] is feasible from [m] and
-     improves on [current]. *)
-  let candidate m current move =
-    let next = apply_move m move in
-    if not (feasible config next) then None
-    else begin
+  (* [Some (move, value)] when [move] is feasible from the current
+     position and improves on [current]. *)
+  let candidate current move =
+    match ev.probe move with
+    | None -> None
+    | Some value ->
       incr evaluations;
-      let value = ev.probe move next in
-      if improves ~current ~candidate:value then Some (move, next, value)
-      else None
-    end
+      if improves ~current ~candidate:value then Some (move, value) else None
   in
   (* Steepest descent keeps the best improving move of the round;
      first-improving descent commits the first one in the
      deterministic move order (fewer probes per round, more rounds). *)
-  let select m current ms =
-    if first_improvement then List.find_map (candidate m current) ms
+  let select current ms =
+    if first_improvement then List.find_map (candidate current) ms
     else
       List.fold_left
         (fun best move ->
-          match (best, candidate m current move) with
-          | Some (_, _, best_value), Some (_, _, value)
-            when value >= best_value ->
+          match (best, candidate current move) with
+          | Some (_, best_value), Some (_, value) when value >= best_value ->
             best
           | best, None -> best
           | _, better -> better)
         None ms
   in
-  let rec descend m current steps =
+  let rec descend current steps =
     checkpoint ();
-    match select m current (moves_with ~alts config m) with
-    | None -> (m, List.rev steps)
-    | Some (move, next, value) ->
+    match select current (moves_with ~alts config (ev.mapping ())) with
+    | None -> List.rev steps
+    | Some (move, value) ->
       let step =
         {
           description = describe_move move;
@@ -285,10 +308,10 @@ let greedy ?(config = default_config) ?(oracle = false)
             ("objective_after", Telemetry.Float value) ]);
       ev.commit move;
       on_commit move;
-      descend next value (step :: steps)
+      descend value (step :: steps)
   in
-  let mapping, steps = descend start (ev.start ()) [] in
-  result ev ~evaluations:!evaluations mapping steps
+  let steps = descend (ev.start ()) [] in
+  result ev ~evaluations:!evaluations (ev.mapping ()) steps
 
 let simulated_annealing ?(config = default_config) ?(oracle = false)
     ?(telemetry = Telemetry.noop) ?reuse ?(checkpoint = no_checkpoint)
@@ -308,7 +331,6 @@ let simulated_annealing ?(config = default_config) ?(oracle = false)
   let ev = evaluator ~oracle ~telemetry config start in
   let evaluations = ref 1 (* the start value *) in
   let start_value = ev.start () in
-  let current = ref start in
   let current_value = ref start_value in
   let best = ref start in
   let best_value = ref start_value in
@@ -322,17 +344,17 @@ let simulated_annealing ?(config = default_config) ?(oracle = false)
     else (t_end /. t0) ** (1. /. float_of_int (iterations - 1))
   in
   let temperature = ref t0 in
-  let alts = all_alternatives config start in
+  let alts = checked_alternatives config start in
   for iter = 1 to iterations do
     checkpoint ();
-    (match moves_with ~alts config !current with
+    (match moves_with ~alts config (ev.mapping ()) with
     | [] -> ()
-    | all_moves ->
+    | all_moves -> (
       let move = Mhla_util.Prng.pick prng all_moves in
-      let next = apply_move !current move in
-      if feasible config next then begin
+      match ev.probe move with
+      | None -> ()
+      | Some value ->
         incr evaluations;
-        let value = ev.probe move next in
         let delta = value -. !current_value in
         let accept =
           delta < 0.
@@ -348,11 +370,10 @@ let simulated_annealing ?(config = default_config) ?(oracle = false)
         if accept then begin
           ev.commit move;
           on_commit move;
-          current := next;
           current_value := value;
           if value < !best_value then begin
             let improvement = !best_value -. value in
-            best := next;
+            best := ev.mapping ();
             best_value := value;
             Telemetry.instant telemetry ~cat:"assign" "anneal.best"
               ~args:(fun () ->
@@ -367,8 +388,7 @@ let simulated_annealing ?(config = default_config) ?(oracle = false)
               }
               :: !steps
           end
-        end
-      end);
+        end));
     temperature := !temperature *. decay
   done;
   result ev ~evaluations:!evaluations !best (List.rev !steps)

@@ -9,11 +9,14 @@
     optimised occupancy of every on-chip layer.
 
     Each search ({!greedy}, {!simulated_annealing}) is one loop over
-    an evaluator of the objective. By default the evaluator probes
-    moves through the incremental {!Engine}; [~oracle:true] swaps in
-    from-scratch [Cost.evaluate] calls instead. The engine is
-    bit-exact, so both return identical results; the oracle exists as
-    the reference the tests compare the engine against.
+    an evaluator that answers, per move, whether it fits the capacity
+    budget and what the objective becomes. By default the evaluator
+    asks the incremental {!Engine} ([Engine.fits], then
+    [Engine.probe]) and builds a [Mapping.t] only for committed moves;
+    [~oracle:true] swaps in {!apply_move}, {!feasible} and
+    [Cost.evaluate] from scratch instead. The engine is bit-exact, so
+    both return identical results; the oracle exists as the reference
+    the tests compare the engine against.
 
     {!exhaustive} searches the full placement space (arrays kept
     off-chip) and is used in tests and the EXT-GREEDY ablation to
@@ -77,6 +80,9 @@ type move = Engine.move =
   | Set_placement of Mhla_reuse.Analysis.access_ref * Mapping.placement
   | Set_array of string * int option
 
+val describe_move : move -> string
+(** One-line rendering, as the search steps record it. *)
+
 val apply_move : Mapping.t -> move -> Mapping.t
 (** Functional application through the validating [Mapping] updates. *)
 
@@ -86,7 +92,12 @@ val moves : config -> Mapping.t -> move list
     promotions/demotions (when allowed). *)
 
 val feasible : config -> Mapping.t -> bool
-(** Occupancy of every on-chip layer under the config's policy. *)
+(** Occupancy of every on-chip layer under the config's policy, from
+    scratch ([Mapping.occupancy_ok]). The searches no longer call it
+    per move — {!Engine.fits} answers incrementally — but it stays the
+    oracle: the reference evaluator uses it, and [Engine.fits e move]
+    must equal [feasible config (apply_move (Engine.mapping e) move)]
+    for an engine created with the config's policy. *)
 
 val greedy :
   ?config:config ->

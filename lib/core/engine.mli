@@ -25,7 +25,25 @@
     [Cost.scalar objective (Cost.evaluate (mapping t))] — the invariant
     {!Mhla_sim.Crosscheck} re-verifies and the fuzz suite hammers. An
     engine-driven search therefore reproduces the oracle-driven search
-    decision-for-decision. *)
+    decision-for-decision.
+
+    The engine also answers capacity feasibility, so no candidate move
+    builds a [Mapping.t] (one is built only on {!commit}). It keeps,
+    per on-chip level with a capacity, the bytes alive in every
+    schedule slot (one running total under [Sum]), built from the same
+    blocks [Mapping.layer_blocks] derives: one block per
+    [(level, share_key)] group — the hull of its members' lifetimes,
+    merged in infos order with [Interval.hull]'s handling of empty
+    lifetimes, and the largest member's bytes — plus one per promoted
+    array, with empty lifetimes widened to one slot as
+    [Occupancy.peak_bytes] does. {!fits} swaps in the blocks a move
+    changes, reads the touched levels and swaps them back; a per-level
+    over-capacity flag for the current position keeps the answer exact
+    even from an infeasible start. Invariant, for every well-formed
+    move: [fits t move] =
+    [Mapping.occupancy_ok ~policy (Assign.apply_move (mapping t) move)],
+    i.e. [Assign.feasible] — pinned per move by [test_assign.ml] and by
+    fuzz check ["feasibility"]. *)
 
 (** A single search move. Owned here (rather than by [Assign], which
     re-exports it) so the engine does not depend on the search. *)
@@ -37,29 +55,37 @@ type move =
     [contribs_recomputed] is the cache hit/miss split over the
     per-unit contributions folded by probes; [entries_invalidated]
     counts cached access entries dirtied by [Set_array] applications
-    (the cost of whole-array moves under dirty tracking). *)
+    (the cost of whole-array moves under dirty tracking); [infeasible]
+    counts {!fits} calls that answered [false]. [probes] counts
+    {!probe} calls only, so a search that probes only feasible moves
+    keeps its probe count whatever [fits] rejects. *)
 type stats = {
   probes : int;
   commits : int;
   contribs_reused : int;
   contribs_recomputed : int;
   entries_invalidated : int;
+  infeasible : int;
 }
 
 type t
 
 val create :
   ?telemetry:Mhla_obs.Telemetry.t ->
+  ?policy:Mhla_lifetime.Occupancy.policy ->
   objective:Cost.objective ->
   Mapping.t ->
   t
-(** An engine positioned on the given mapping. All contributions are
-    computed once, eagerly. [telemetry] (default
+(** An engine positioned on the given mapping. All contributions, and
+    the occupancy timelines {!fits} reads, are computed once, eagerly.
+    [policy] (default [In_place], as [Mapping.occupancy_ok]) sizes the
+    on-chip levels. [telemetry] (default
     {!Mhla_obs.Telemetry.noop}) receives [engine.create] /
     [engine.probe] / [engine.commit] spans and the
     [engine.probes]/[engine.commits]/[engine.cache_hits]/
-    [engine.cache_misses]/[engine.entries_invalidated] counters; a
-    disabled sink leaves every result bit-identical. *)
+    [engine.cache_misses]/[engine.entries_invalidated]/
+    [engine.infeasible] counters; a disabled sink leaves every result
+    bit-identical. *)
 
 val mapping : t -> Mapping.t
 (** The mapping the engine is positioned on — the genuine [Mapping.t],
@@ -74,6 +100,16 @@ val probe : t -> move -> float
     [Cost.scalar objective (Cost.evaluate (Assign.apply_move (mapping t) move))].
     The move must be well-formed (as produced by [Assign.moves]) —
     probing does not re-run [Mapping]'s validation. *)
+
+val fits : t -> move -> bool
+(** Whether every on-chip level stays within capacity once [move] is
+    applied to [mapping t]; the engine's position is unchanged. Equal
+    to [Mapping.occupancy_ok ~policy (Assign.apply_move (mapping t) move)]
+    for the engine's [policy], from any position — a start mapping
+    already over capacity included. The move must be well-formed, as
+    for {!probe}; its candidates must come from the mapping's own
+    analysis.
+    @raise Invalid_argument for a candidate the analysis does not own. *)
 
 val commit : t -> move -> unit
 (** Advance the engine's position by [move], keeping the cached

@@ -5,11 +5,16 @@ module Explore = Mhla_core.Explore
 module Faults = Mhla_sim.Faults
 module Robustness = Mhla_sim.Robustness
 
-type mutation = No_mutation | Drift_engine | Drift_interp | Drift_verify
+type mutation =
+  | No_mutation
+  | Drift_engine
+  | Drift_interp
+  | Drift_verify
+  | Drift_feasible
 
 let mutation_names =
   [ ("none", No_mutation); ("engine", Drift_engine); ("interp", Drift_interp);
-    ("verify", Drift_verify) ]
+    ("verify", Drift_verify); ("feasibility", Drift_feasible) ]
 
 type failure = { check : string; detail : string }
 
@@ -17,12 +22,62 @@ let check_names =
   [
     "json"; "engine"; "xval"; "esim"; "verifier-greedy"; "verifier-anneal";
     "interp"; "faults"; "pareto"; "policy"; "incremental-verify";
+    "feasibility";
   ]
 
 (* Kept low: the annealing leg runs once per fuzz case, and the CI gate
    runs 200 cases. The point is differential coverage of the annealing
    code path, not search quality. *)
 let anneal_iterations = 300
+
+(* Positions the feasibility churn visits per sizing policy; every move
+   offered at each of them is checked. *)
+let feasibility_steps = 8
+
+(* [Engine.fits] against the from-scratch [Assign.feasible] on every
+   move at every position of a seeded churn from the all-Direct start.
+   The churn commits arbitrary legal moves, feasible or not, so
+   positions already over capacity are covered too. [drift] negates
+   the oracle's verdict — the gate's self-test. Returns the first
+   disagreement, if any. *)
+let feasibility_mismatch ~drift program (hname, hierarchy) =
+  let module Assign = Mhla_core.Assign in
+  let module Occupancy = Mhla_lifetime.Occupancy in
+  let rng = Mhla_util.Prng.create ~seed:0xF1775EEDL in
+  let check (pname, policy) =
+    let config = { Assign.default_config with Assign.policy } in
+    let engine =
+      Engine.create ~policy ~objective:config.Assign.objective
+        (Mhla_core.Mapping.direct ~transfer_mode:config.Assign.transfer_mode
+           program hierarchy)
+    in
+    let rec walk step =
+      let m = Engine.mapping engine in
+      let moves = Assign.moves config m in
+      let disagreement =
+        List.find_map
+          (fun move ->
+            let want = Assign.feasible config (Assign.apply_move m move) in
+            let want = if drift then not want else want in
+            let got = Engine.fits engine move in
+            if got = want then None
+            else
+              Some
+                (Fmt.str "%s %s step %d: fits %b <> feasible %b for %s" hname
+                   pname step got want (Assign.describe_move move)))
+          moves
+      in
+      match disagreement with
+      | Some _ -> disagreement
+      | None when moves = [] || step >= feasibility_steps -> None
+      | None ->
+        Engine.commit engine (Mhla_util.Prng.pick rng moves);
+        walk (step + 1)
+    in
+    walk 0
+  in
+  List.find_map check
+    [ ("in-place", Occupancy.In_place); ("sum", Occupancy.Sum) ]
 
 let fault_model =
   Faults.make
@@ -68,7 +123,7 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
         fail "engine"
           (Fmt.str "engine %.17g <> drifted oracle %.17g (seeded +1.0 drift)"
              engine_v drifted)
-    | No_mutation | Drift_interp | Drift_verify -> ());
+    | No_mutation | Drift_interp | Drift_verify | Drift_feasible -> ());
     List.iter
       (fun c ->
         fail "xval" (Fmt.str "%a" Crosscheck.pp_check c))
@@ -111,7 +166,7 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
              "dynamic %d <> drifted static %d (seeded +1 event drift)"
              ic.Crosscheck.dynamic_events
              (ic.Crosscheck.static_events + 1))
-    | No_mutation | Drift_engine | Drift_verify ->
+    | No_mutation | Drift_engine | Drift_verify | Drift_feasible ->
       if not ic.Crosscheck.interp_consistent then
         List.iter
           (fun (subject, dynamic, predicted) ->
@@ -246,7 +301,19 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
           can never equal the incremental one — the gate's self-test. *)
        diverged "drift" rebased
          { scratch with Verify.suppressed = scratch.Verify.suppressed + 1 }
-     | No_mutation | Drift_engine | Drift_interp -> ());
+     | No_mutation | Drift_engine | Drift_interp | Drift_feasible -> ());
+    (* The engine's incremental capacity answer must equal the
+       from-scratch occupancy check on every move of a churn, under
+       both sizing policies, on the case's platform and on one whose
+       budget is split over two on-chip levels. *)
+    Option.iter (fail "feasibility")
+      (List.find_map
+         (feasibility_mismatch ~drift:(mutate = Drift_feasible) program)
+         [ ("two-level", hierarchy);
+           ( "three-level",
+             Mhla_arch.Presets.three_level
+               ~l1_bytes:(max 1 (onchip_bytes / 4)) ~l2_bytes:onchip_bytes () )
+         ]);
     List.rev !fails
   with e -> [ { check = "exception"; detail = Printexc.to_string e } ]
 

@@ -21,9 +21,13 @@ type mutation =
       (** compare the incremental verifier's report against a scratch
           report with one phantom suppression — the
           ["incremental-verify"] check must fail *)
+  | Drift_feasible
+      (** compare the engine's capacity answer against the negated
+          from-scratch verdict — the ["feasibility"] check must fail *)
 
 val mutation_names : (string * mutation) list
-(** CLI-facing names: ["none"], ["engine"], ["interp"], ["verify"]. *)
+(** CLI-facing names: ["none"], ["engine"], ["interp"], ["verify"],
+    ["feasibility"]. *)
 
 type failure = {
   check : string;  (** one of {!check_names}, or ["exception"] *)
@@ -36,7 +40,10 @@ val check_names : string list
     emit → parse → decode → emit round trip), ["engine"] (incremental cost
     engine bit-identical to [Cost.evaluate] through a churn round
     trip), ["xval"] (pipeline-simulated vs analytic stalls within the
-    cold-start bound, zero-fault replay exact), ["verifier-greedy"] and
+    cold-start bound, zero-fault replay exact), ["esim"] (the analytic
+    TE gain tracks the discrete-event simulator's within the derived
+    tolerance, and the neutral event configuration replays
+    [Pipeline.run] exactly), ["verifier-greedy"] and
     ["verifier-anneal"] (the static verifier accepts the greedy and
     annealing solver outputs), ["interp"] (trace-interpreter access
     counts match the static and reuse-analysis counts), ["faults"]
@@ -49,9 +56,13 @@ val check_names : string list
     pipeline's), ["incremental-verify"] (the incremental verifier's
     report equals a from-scratch {!Mhla_analysis.Verify.run} both after
     a seeded random walk of legal moves and after rebasing onto the
-    solved answer with its TE schedule). Any exception escaping the
-    battery is caught and reported as a single ["exception"]
-    failure. *)
+    solved answer with its TE schedule), ["feasibility"] (the
+    engine's incremental capacity answer {!Mhla_core.Engine.fits}
+    equals the from-scratch {!Mhla_core.Assign.feasible} of the moved
+    mapping on every move at every position of a seeded churn of
+    legal moves, under in-place and summed sizing). Any exception
+    escaping the battery is caught and reported as a single
+    ["exception"] failure. *)
 
 val failures :
   ?mutate:mutation -> onchip_bytes:int -> Mhla_ir.Program.t -> failure list

@@ -5,6 +5,88 @@ let recommended_jobs () = max 1 (Domain.recommended_domain_count ())
    it can only coexist with at least one [Error] slot. *)
 type 'b slot = Done of 'b | Failed of exn | Skipped
 
+(* Worker domains outlive the call that started them: a finished
+   worker parks on its condition variable and the next call reuses it.
+   Retiring a domain leaves part of its heap behind (live data stays
+   flat while the heap grows with every domain retired), so a workload
+   that fans out many short calls would otherwise grow its resident
+   set with each one. The pool holds as many workers as the most calls
+   ever needed at once; idle ones cost nothing but a blocked domain. *)
+type worker = {
+  lock : Mutex.t;
+  wake : Condition.t;
+  mutable job : (unit -> unit) option;
+  mutable outcome : (unit, exn * Printexc.raw_backtrace) result option;
+}
+
+let idle = ref []
+
+let idle_lock = Mutex.create ()
+
+let rec serve w =
+  Mutex.lock w.lock;
+  while Option.is_none w.job do
+    Condition.wait w.wake w.lock
+  done;
+  let job = Option.get w.job in
+  Mutex.unlock w.lock;
+  let outcome =
+    match job () with
+    | () -> Ok ()
+    | exception e -> Error (e, Printexc.get_raw_backtrace ())
+  in
+  Mutex.lock w.lock;
+  w.job <- None;
+  w.outcome <- Some outcome;
+  Condition.broadcast w.wake;
+  Mutex.unlock w.lock;
+  serve w
+
+(* Run [job] on an idle worker, or on a new one when none is idle. *)
+let start job =
+  let reused =
+    Mutex.protect idle_lock (fun () ->
+        match !idle with
+        | w :: rest ->
+          idle := rest;
+          Some w
+        | [] -> None)
+  in
+  let w =
+    match reused with
+    | Some w -> w
+    | None ->
+      let w =
+        {
+          lock = Mutex.create ();
+          wake = Condition.create ();
+          job = None;
+          outcome = None;
+        }
+      in
+      ignore (Domain.spawn (fun () -> serve w) : unit Domain.t);
+      w
+  in
+  Mutex.protect w.lock (fun () ->
+      w.job <- Some job;
+      Condition.broadcast w.wake);
+  w
+
+(* Wait for [w]'s job, hand [w] back to the idle workers and return
+   how the job ended. *)
+let await w =
+  let outcome =
+    Mutex.protect w.lock (fun () ->
+        while Option.is_none w.outcome do
+          Condition.wait w.wake w.lock
+        done;
+        let o = Option.get w.outcome in
+        w.outcome <- None;
+        o)
+  in
+  Mutex.protect idle_lock (fun () -> idle := w :: !idle);
+  outcome
+
 let map_with ?jobs ~init ?(around = fun _ k -> k ()) ~finish f xs =
   let n = List.length xs in
   let jobs =
@@ -63,9 +145,19 @@ let map_with ?jobs ~init ?(around = fun _ k -> k ()) ~finish f xs =
           in
           go ())
     in
-    let spawned = List.init (jobs - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-    worker 0 ();
-    List.iter Domain.join spawned;
+    let started = List.init (jobs - 1) (fun i -> start (worker (i + 1))) in
+    let own =
+      match worker 0 () with
+      | () -> Ok ()
+      | exception e -> Error (e, Printexc.get_raw_backtrace ())
+    in
+    (* Every worker is awaited (and so returned to the pool) before a
+       worker-level failure, e.g. from [around], re-raises. *)
+    List.iter
+      (function
+        | Ok () -> ()
+        | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+      (own :: List.map await started);
     (* Merge worker contexts before any failure re-raises, so e.g.
        telemetry collected up to the failure is not lost. *)
     finish (Array.to_list ctxs);

@@ -5,7 +5,15 @@
     identical to [List.map] — the property the exploration sweeps rely
     on for [jobs:1 ≡ jobs:N] determinism. Tasks must not share mutable
     state; everything this repository parallelises (per-size-budget
-    exploration runs) only reads immutable programs and analyses. *)
+    exploration runs) only reads immutable programs and analyses.
+
+    Worker domains are kept between calls: a call with [jobs = N] runs
+    on the calling domain plus [N - 1] parked workers, spawning new
+    ones only when too few are idle, and parks them again when it
+    returns. A process that fans out many short calls therefore spawns
+    each worker once, instead of retiring domains call after call —
+    which grows the heap (and the resident set) with every domain
+    retired. Idle workers stay blocked until the next call. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the number of workers that
@@ -27,7 +35,7 @@ val map_with :
     - [around ctx k] wraps worker [i]'s whole drain loop [k], {e inside
       its domain} (default: just run [k]) — e.g. a per-worker span;
     - [f ctx x] maps one item using the worker's context;
-    - [finish ctxs] runs in the parent after all workers joined, with
+    - [finish ctxs] runs in the parent after all workers finished, with
       the contexts in worker order — e.g. a deterministic merge. It
       runs before any task failure is re-raised, so context state
       gathered up to a failure survives.

@@ -36,10 +36,12 @@ dune runtest
 echo "== -j determinism reruns =="
 # The jobs:1 == jobs:N cases depend on how the domain pool happens to
 # schedule tasks, so one green run proves little: rerun each about 20
-# times and fail on the first red run.
+# times and fail on the first red run. The deadline-module case reads
+# the clock twice and once flaked on operand evaluation order; it rides
+# along so a regression of that kind shows up here too.
 runs=20
 for spec in "obs merge" "explore sweep 2,3" "explore pareto 1" \
-    "policy portfolio 0,1" "esim determinism 2"; do
+    "policy portfolio 0,1" "esim determinism 2" "service executor 6"; do
   set -- $spec
   exe="_build/default/test/test_$1.exe"
   shift
@@ -314,6 +316,15 @@ dune exec -- bin/mhla_cli.exe fuzz --seed 42 --count 2 --jobs 1 \
   --mutate verify -q >/dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 1 ]; then
   echo "expected exit 1 for the seeded verify drift, got $rc" >&2
+  exit 1
+fi
+# ...and so must the incremental-feasibility differential: a negated
+# from-scratch verdict has to fail.
+rc=0
+dune exec -- bin/mhla_cli.exe fuzz --seed 42 --count 2 --jobs 1 \
+  --mutate feasibility -q >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "expected exit 1 for the seeded feasibility drift, got $rc" >&2
   exit 1
 fi
 

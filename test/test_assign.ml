@@ -6,6 +6,7 @@ module Analysis = Mhla_reuse.Analysis
 module Candidate = Mhla_reuse.Candidate
 module Assign = Mhla_core.Assign
 module Cost = Mhla_core.Cost
+module Engine = Mhla_core.Engine
 module Mapping = Mhla_core.Mapping
 module Occupancy = Mhla_lifetime.Occupancy
 module Presets = Mhla_arch.Presets
@@ -287,25 +288,43 @@ let greedy_flavours ?config program h =
 let descent_label first_improvement =
   if first_improvement then "first-improving" else "steepest"
 
+(* The platforms and sizing policies the engine-vs-oracle tests cover:
+   one scratchpad at the bundled budget and two on-chip levels, each
+   under in-place and summed sizing. *)
+let oracle_platforms budget =
+  [ ("two-level", Presets.two_level ~onchip_bytes:budget ());
+    ( "three-level",
+      Presets.three_level ~l1_bytes:(max 1 (budget / 4)) ~l2_bytes:budget () )
+  ]
+
+let policies = [ ("in-place", Occupancy.In_place); ("sum", Occupancy.Sum) ]
+
+let sizing_configs base =
+  List.map (fun (name, policy) -> (name, { base with Assign.policy })) policies
+
 let test_greedy_engine_equals_oracle_on_apps () =
   List.iter
     (fun (app : Mhla_apps.Defs.t) ->
       let program = Lazy.force app.Mhla_apps.Defs.small in
-      let h =
-        Presets.two_level ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes ()
-      in
       List.iter
-        (fun (first_improvement, (engine, seen_e), (oracle, seen_o)) ->
-          let label =
-            Printf.sprintf "%s %s" app.Mhla_apps.Defs.name
-              (descent_label first_improvement)
-          in
-          Alcotest.(check bool) (label ^ ": identical result") true
-            (seen_e = seen_o);
-          Alcotest.(check int)
-            (label ^ ": same evaluation count")
-            oracle.Assign.evaluations engine.Assign.evaluations)
-        (greedy_flavours program h))
+        (fun (hname, h) ->
+          List.iter
+            (fun (pname, config) ->
+              List.iter
+                (fun (first_improvement, (engine, seen_e), (oracle, seen_o)) ->
+                  let label =
+                    Printf.sprintf "%s %s %s %s" app.Mhla_apps.Defs.name hname
+                      pname
+                      (descent_label first_improvement)
+                  in
+                  Alcotest.(check bool) (label ^ ": identical result") true
+                    (seen_e = seen_o);
+                  Alcotest.(check int)
+                    (label ^ ": same evaluation count")
+                    oracle.Assign.evaluations engine.Assign.evaluations)
+                (greedy_flavours ~config program h))
+            (sizing_configs Assign.default_config))
+        (oracle_platforms app.Mhla_apps.Defs.onchip_bytes))
     Mhla_apps.Registry.all
 
 let test_greedy_engine_equals_oracle_on_kernel () =
@@ -329,17 +348,23 @@ let test_anneal_engine_equals_oracle () =
   let program = conv () in
   List.iter
     (fun (budget, seed) ->
-      let h = Presets.two_level ~onchip_bytes:budget () in
-      let run oracle =
-        snd
-          (observed (fun ~on_commit ->
-               Assign.simulated_annealing ~oracle ~seed ~iterations:600
-                 ~on_commit program h))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "budget %d seed %Ld: identical result" budget seed)
-        true
-        (run false = run true))
+      List.iter
+        (fun (hname, h) ->
+          List.iter
+            (fun (pname, config) ->
+              let run oracle =
+                snd
+                  (observed (fun ~on_commit ->
+                       Assign.simulated_annealing ~config ~oracle ~seed
+                         ~iterations:600 ~on_commit program h))
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "budget %d seed %Ld %s %s: identical result"
+                   budget seed hname pname)
+                true
+                (run false = run true))
+            (sizing_configs Assign.default_config))
+        (oracle_platforms budget))
     [ (128, 7L); (512, 7L); (512, 1234L) ]
 
 let test_result_evaluation_accounting () =
@@ -357,6 +382,214 @@ let test_result_evaluation_accounting () =
     (engine.Assign.cache_hits > 0 && engine.Assign.cache_misses > 0);
   Alcotest.(check bool) "engine: hits dominate on repeated probing" true
     (engine.Assign.cache_hits > engine.Assign.cache_misses)
+
+(* --- incremental feasibility vs the from-scratch oracle ----------------- *)
+
+(* [Engine.fits] answers over one hierarchy, so each test can show it
+   exercised both verdicts. *)
+type tally = { mutable accepted : int; mutable rejected : int }
+
+let new_tally () = { accepted = 0; rejected = 0 }
+
+(* At the engine's position, every move the searches could offer:
+   [Engine.fits] must equal [Assign.feasible] of the moved mapping. *)
+let check_every_move ~label ~tally config engine =
+  let m = Engine.mapping engine in
+  List.iter
+    (fun move ->
+      let want = Assign.feasible config (Assign.apply_move m move) in
+      let got = Engine.fits engine move in
+      if got <> want then
+        Alcotest.failf "%s: fits %b <> feasible %b for %s" label got want
+          (Assign.describe_move move);
+      if got then tally.accepted <- tally.accepted + 1
+      else tally.rejected <- tally.rejected + 1)
+    (Assign.moves config m)
+
+let engine_on config m =
+  Engine.create ~policy:config.Assign.policy ~objective:config.Assign.objective
+    m
+
+(* Replay a search's committed moves on a fresh engine, checking every
+   move at every position the search visited. *)
+let check_replay ~label ~tally config start committed =
+  let engine = engine_on config start in
+  check_every_move ~label ~tally config engine;
+  List.iter
+    (fun move ->
+      Engine.commit engine move;
+      check_every_move ~label ~tally config engine)
+    committed
+
+let recorded search =
+  let committed = ref [] in
+  ignore
+    (search ~on_commit:(fun move -> committed := move :: !committed)
+      : Assign.result);
+  List.rev !committed
+
+let for_apps_and_policies f =
+  List.iter
+    (fun (app : Mhla_apps.Defs.t) ->
+      let program = Lazy.force app.Mhla_apps.Defs.small in
+      let reuse = Mapping.precompute program in
+      List.iter
+        (fun (pname, config) ->
+          f ~label:(Printf.sprintf "%s %s" app.Mhla_apps.Defs.name pname)
+            ~config ~reuse program app.Mhla_apps.Defs.onchip_bytes)
+        (sizing_configs Assign.default_config))
+    Mhla_apps.Registry.all
+
+(* Greedy rounds and a seeded annealing walk on [h], replayed move by
+   move against the oracle. *)
+let check_searches ~label ~tally ~config ~reuse program h =
+  let start =
+    Mapping.direct ~transfer_mode:config.Assign.transfer_mode ~reuse program
+      h
+  in
+  check_replay ~label:(label ^ " greedy") ~tally config start
+    (recorded (fun ~on_commit ->
+         Assign.greedy ~config ~reuse ~on_commit program h));
+  check_replay ~label:(label ^ " anneal") ~tally config start
+    (recorded (fun ~on_commit ->
+         Assign.simulated_annealing ~config ~reuse ~seed:11L ~iterations:150
+           ~on_commit program h))
+
+let check_both_verdicts name tally =
+  Alcotest.(check bool) (name ^ ": some moves fit") true (tally.accepted > 0);
+  Alcotest.(check bool) (name ^ ": some moves rejected") true
+    (tally.rejected > 0)
+
+let test_fits_two_level () =
+  let tally = new_tally () in
+  for_apps_and_policies (fun ~label ~config ~reuse program budget ->
+      check_searches ~label ~tally ~config ~reuse program
+        (Presets.two_level ~onchip_bytes:budget ()));
+  check_both_verdicts "bundled budget" tally
+
+(* Two on-chip levels, a quarter of the bundled budget over the full
+   one: about a fifth of the candidate moves overflow one of them. *)
+let tight_multi_level budget =
+  Presets.multi_level ~level_bytes:[ max 1 (budget / 4); budget ] ()
+
+let test_fits_tight_multi_level () =
+  let tally = new_tally () in
+  for_apps_and_policies (fun ~label ~config ~reuse program budget ->
+      check_searches ~label ~tally ~config ~reuse program
+        (tight_multi_level budget));
+  check_both_verdicts "tight multi-level" tally;
+  let share =
+    float_of_int tally.rejected
+    /. float_of_int (tally.accepted + tally.rejected)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "rejected share %.2f is substantial" share)
+    true (share >= 0.1)
+
+(* An engine positioned on a mapping already over capacity: the greedy
+   answer at the bundled budget, moved onto a platform with a quarter
+   of it — one scratchpad, or two on-chip levels of which only the
+   inner one shrinks, so moves that leave the overflowing level alone
+   must still be rejected. A seeded walk then commits arbitrary moves,
+   feasible or not. *)
+let test_fits_from_over_capacity () =
+  let tally = new_tally () in
+  for_apps_and_policies (fun ~label ~config ~reuse program budget ->
+      List.iter
+        (fun (hname, solve_on, squeeze_to) ->
+          let solved =
+            (Assign.greedy ~config ~reuse program solve_on).Assign.mapping
+          in
+          let m = Mapping.with_hierarchy solved squeeze_to in
+          if not (Assign.feasible config m) then begin
+            let label = label ^ " " ^ hname in
+            let engine = engine_on config m in
+            let prng = Mhla_util.Prng.create ~seed:0xFEA5L in
+            check_every_move ~label ~tally config engine;
+            for _ = 1 to 8 do
+              match Assign.moves config (Engine.mapping engine) with
+              | [] -> ()
+              | ms ->
+                Engine.commit engine (Mhla_util.Prng.pick prng ms);
+                check_every_move ~label ~tally config engine
+            done
+          end)
+        [ ( "two-level",
+            Presets.two_level ~onchip_bytes:budget (),
+            Presets.two_level ~onchip_bytes:(max 1 (budget / 4)) () );
+          ( "three-level",
+            Presets.three_level ~l1_bytes:(max 1 (budget / 4)) ~l2_bytes:budget
+              (),
+            Presets.three_level ~l1_bytes:(max 1 (budget / 16))
+              ~l2_bytes:budget () ) ]);
+  check_both_verdicts "over-capacity start" tally
+
+(* An array no statement touches has an empty lifetime, which the
+   from-scratch sizing widens to one slot: promoting it still charges
+   its bytes. Swept over budgets around its size and the live data's. *)
+let test_fits_dead_array () =
+  let program =
+    let open Build in
+    program "dead"
+      ~arrays:[ array "live" [ 16 ]; array "dead" [ 24 ] ]
+      [ loop "i" 16 [ stmt "s" [ rd "live" [ i "i" ] ] ] ]
+  in
+  let tally = new_tally () in
+  List.iter
+    (fun (pname, config) ->
+      List.iter
+        (fun budget ->
+          let engine =
+            engine_on config
+              (Mapping.direct program
+                 (Presets.two_level ~onchip_bytes:budget ()))
+          in
+          let label = Printf.sprintf "dead array %s %dB" pname budget in
+          check_every_move ~label ~tally config engine;
+          Engine.commit engine (Assign.Set_array ("live", Some 0));
+          check_every_move ~label ~tally config engine)
+        [ 8; 16; 24; 32; 40; 48 ])
+    (sizing_configs Assign.default_config);
+  check_both_verdicts "dead array" tally
+
+let test_fits_counts_rejections () =
+  let program = conv () in
+  let config = cycles_config in
+  let engine =
+    engine_on config
+      (Mapping.direct program (Presets.two_level ~onchip_bytes:64 ()))
+  in
+  let moves = Assign.moves config (Engine.mapping engine) in
+  let rejected =
+    List.length (List.filter (fun mv -> not (Engine.fits engine mv)) moves)
+  in
+  let s = Engine.stats engine in
+  Alcotest.(check bool) "some moves rejected" true (rejected > 0);
+  Alcotest.(check int) "infeasible counts rejections" rejected
+    s.Engine.infeasible;
+  Alcotest.(check int) "fits is not a probe" 0 s.Engine.probes
+
+(* [engine.infeasible] counts rejections apart from [engine.probes],
+   which still counts only the feasible moves the search evaluated, and
+   both are the same on every run. *)
+let test_fits_telemetry () =
+  let counters () =
+    let telemetry = Mhla_obs.Telemetry.collector () in
+    let r =
+      Assign.greedy ~telemetry (conv ()) (Presets.two_level ~onchip_bytes:64 ())
+    in
+    let value name =
+      Option.value ~default:0.
+        (List.assoc_opt name (Mhla_obs.Telemetry.counter_values telemetry))
+    in
+    (r.Assign.evaluations, value "engine.probes", value "engine.infeasible")
+  in
+  let evaluations, probes, infeasible = counters () in
+  Alcotest.(check (float 0.)) "probes = evaluations past the start"
+    (float_of_int (evaluations - 1)) probes;
+  Alcotest.(check bool) "rejections counted" true (infeasible > 0.);
+  Alcotest.(check bool) "deterministic" true
+    (counters () = (evaluations, probes, infeasible))
 
 let prop_greedy_never_worse_than_direct =
   QCheck2.Test.make ~name:"assign: greedy never worse than out-of-the-box"
@@ -419,6 +652,21 @@ let () =
             test_anneal_engine_equals_oracle;
           Alcotest.test_case "evaluation accounting" `Quick
             test_result_evaluation_accounting;
+        ] );
+      ( "feasibility",
+        [
+          Alcotest.test_case "fits = feasible at the bundled budget" `Quick
+            test_fits_two_level;
+          Alcotest.test_case "fits = feasible on a tight multi-level" `Quick
+            test_fits_tight_multi_level;
+          Alcotest.test_case "fits = feasible from over capacity" `Quick
+            test_fits_from_over_capacity;
+          Alcotest.test_case "dead array charged" `Quick
+            test_fits_dead_array;
+          Alcotest.test_case "rejections counted" `Quick
+            test_fits_counts_rejections;
+          Alcotest.test_case "rejections in telemetry" `Quick
+            test_fits_telemetry;
         ] );
       ( "exhaustive",
         [

@@ -101,7 +101,8 @@ let test_mutations_fire () =
         true
         (List.exists (fun (f : Oracle.failure) -> f.Oracle.check = check)
            o.Oracle.failures))
-    [ (Oracle.Drift_engine, "engine"); (Oracle.Drift_interp, "interp") ]
+    [ (Oracle.Drift_engine, "engine"); (Oracle.Drift_interp, "interp");
+      (Oracle.Drift_feasible, "feasibility") ]
 
 (* --- shrinker ---------------------------------------------------------- *)
 

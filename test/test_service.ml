@@ -427,8 +427,11 @@ let test_deadline_module () =
   | () -> Alcotest.fail "expired deadline did not raise"
   | exception Error.Error e ->
     Alcotest.(check bool) "kind is Deadline" true (e.Error.kind = Error.Deadline));
-  Alcotest.(check bool) "clock is monotone" true
-    (Deadline.now_ns () <= Deadline.now_ns ())
+  (* Let-bound so the readings are taken in order: the operands of
+     [<=] are evaluated right to left. *)
+  let earlier = Deadline.now_ns () in
+  let later = Deadline.now_ns () in
+  Alcotest.(check bool) "clock is monotone" true (earlier <= later)
 
 (* --- chaos soak -------------------------------------------------------- *)
 

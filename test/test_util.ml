@@ -642,6 +642,52 @@ let test_pool_sequential_failure_stops_early () =
            [ 0; 1; 2; 3; 4 ]));
   Alcotest.(check int) "items after the failure never ran" 2 !executed
 
+(* The domains [around] runs on, per worker, for one call. *)
+let worker_domains ~jobs =
+  let seen = Array.make jobs (-1) in
+  ignore
+    (Domain_pool.map_with ~jobs ~init:Fun.id
+       ~around:(fun i k ->
+         seen.(i) <- (Domain.self () :> int);
+         k ())
+       ~finish:ignore
+       (fun _ x -> x)
+       (List.init (4 * jobs) Fun.id));
+  Array.to_list seen
+
+let test_pool_reuses_workers () =
+  let first = worker_domains ~jobs:3 in
+  let again = worker_domains ~jobs:3 in
+  Alcotest.(check int) "worker 0 is the caller"
+    (Domain.self () :> int)
+    (List.hd first);
+  Alcotest.(check (list int)) "the same domains serve the next call"
+    (List.sort compare first) (List.sort compare again)
+
+let test_pool_survives_worker_failure () =
+  let before = worker_domains ~jobs:2 in
+  Alcotest.check_raises "a failing [around] re-raises" (Failure "around")
+    (fun () ->
+      ignore
+        (Domain_pool.map_with ~jobs:2 ~init:Fun.id
+           ~around:(fun i k -> if i = 1 then failwith "around" else k ())
+           ~finish:ignore
+           (fun _ x -> x)
+           [ 1; 2; 3 ]));
+  Alcotest.check_raises "a failing [around] in the caller re-raises"
+    (Failure "own") (fun () ->
+      ignore
+        (Domain_pool.map_with ~jobs:2 ~init:Fun.id
+           ~around:(fun i k -> if i = 0 then failwith "own" else k ())
+           ~finish:ignore
+           (fun _ x -> x)
+           [ 1; 2; 3 ]));
+  Alcotest.(check (list int)) "the pool still serves"
+    [ 2; 4; 6 ]
+    (Domain_pool.map ~jobs:2 (fun x -> 2 * x) [ 1; 2; 3 ]);
+  Alcotest.(check (list int)) "with the same workers" before
+    (worker_domains ~jobs:2)
+
 let test_table_cells () =
   Alcotest.(check string) "float" "1.50" (Table.cell_float 1.5);
   Alcotest.(check string) "float decimals" "1.5"
@@ -741,6 +787,10 @@ let () =
             test_pool_cancellation_skips_unstarted;
           Alcotest.test_case "sequential failure stops early" `Quick
             test_pool_sequential_failure_stops_early;
+          Alcotest.test_case "workers reused across calls" `Quick
+            test_pool_reuses_workers;
+          Alcotest.test_case "survives a worker failure" `Quick
+            test_pool_survives_worker_failure;
         ] );
       ( "table",
         [
