@@ -887,14 +887,14 @@ let micro () =
       Test.make ~name:"pipeline-sim(1k)"
         (Staged.stage (fun () ->
              ignore
-               (Mhla_sim.Pipeline.run
+               (Mhla_sim.Pipeline.run ~channels:2
                   {
-                    Mhla_sim.Pipeline.issues = 1000;
+                    Mhla_sim.Event.issues = 1000;
+                    bytes_per_issue = 0;
                     transfer_cycles = 120;
                     compute_cycles = 150;
                     lookahead = 1;
                     setup_cycles = 24;
-                    channels = 2;
                   }))) ]
   in
   let ols =

@@ -22,6 +22,4 @@ val is_write : t -> bool
 val iterators : t -> string list
 (** All iterators appearing in any subscript, sorted, deduplicated. *)
 
-val pp_direction : direction Fmt.t
-
 val pp : t Fmt.t

@@ -17,11 +17,6 @@ let search_of_name ?(context = "Registry.search_of_name") ?(seed = 42L)
              (String.concat ", " search_names))
         "unknown search %S" s
 
-let search_name = function
-  | Explore.Greedy -> "greedy"
-  | Explore.First_improvement -> "first-improvement"
-  | Explore.Annealing _ -> "anneal"
-
 let builtins =
   [
     Policy.greedy;

@@ -24,10 +24,6 @@ val search_of_name :
     names in the hint) on anything else. [context] names the caller
     in the diagnostic. *)
 
-val search_name : Mhla_core.Explore.search -> string
-(** The canonical spelling (annealing parameters are carried
-    separately by serialisers). *)
-
 val builtins : Policy.t list
 (** Every nameable policy, in canonical order: greedy, greedy-first,
     anneal, te-fifo, te-size, lean. (The predictor policy needs a

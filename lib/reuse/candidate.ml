@@ -116,8 +116,3 @@ let make ~decl ~loops ~stmt ~access_index ~level (access : Mhla_ir.Access.t) =
     delta_bytes_per_issue;
     share_key;
   }
-
-let pp ppf t =
-  Fmt.pf ppf "%s: %a %s, %dB buf, %d issues x %dB (served %d)" t.id
-    Mhla_ir.Access.pp_direction t.direction t.array t.footprint_bytes
-    t.issues t.bytes_per_issue t.accesses_served

@@ -67,5 +67,3 @@ val make :
 (** Build the candidate at [level] for an access whose enclosing loops
     are [loops] (outermost first).
     @raise Mhla_util.Error.Error when [level] is out of range. *)
-
-val pp : t Fmt.t

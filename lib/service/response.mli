@@ -67,8 +67,3 @@ val status_name : status -> string
 (** ["ok"], ["error"], ["timeout"], ["shed"]. *)
 
 val to_json : t -> Mhla_util.Json.t
-
-val status_of_json : Mhla_util.Json.t -> status option
-(** Classify a response document by its [status] field — what the CI
-    soak gate and the tests use to count outcomes without re-modelling
-    the whole payload. *)

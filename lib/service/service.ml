@@ -1,5 +1,6 @@
 module Json = Mhla_util.Json
 module Error = Mhla_util.Error
+module Domain_pool = Mhla_util.Domain_pool
 module Telemetry = Mhla_obs.Telemetry
 module Mapping = Mhla_core.Mapping
 module Assign = Mhla_core.Assign
@@ -56,7 +57,7 @@ type t = {
   mutable n_shed : int;
   mutable latencies_ns : int list;
   intern : (string, Mapping.reuse) Hashtbl.t;
-  mutable workers : unit Domain.t list;
+  mutable workers : Domain_pool.worker list;
   mutable children : Telemetry.t list;
 }
 
@@ -353,7 +354,9 @@ let create ?(config = default_config) () =
   in
   t.children <- children;
   t.workers <-
-    List.map (fun tele -> Domain.spawn (fun () -> worker_loop t tele)) children;
+    List.map
+      (fun tele -> Domain_pool.start (fun () -> worker_loop t tele))
+      children;
   t
 
 let submit t line =
@@ -419,8 +422,14 @@ let shutdown t =
     Condition.broadcast t.not_empty;
     Condition.broadcast t.not_full;
     Mutex.unlock t.lock;
-    List.iter Domain.join t.workers;
+    (* Every worker goes back to the pool before a failure re-raises. *)
+    let outcomes = List.map Domain_pool.await t.workers in
     t.workers <- [];
+    List.iter
+      (function
+        | Ok () -> ()
+        | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+      outcomes;
     if Telemetry.enabled t.cfg.telemetry then
       Telemetry.merge_children t.cfg.telemetry t.children;
     t.children <- []

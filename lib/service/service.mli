@@ -54,7 +54,9 @@ val default_config : config
 type t
 
 val create : ?config:config -> unit -> t
-(** Spawns the worker domains immediately.
+(** Starts the workers immediately, each on one of
+    {!Mhla_util.Domain_pool}'s kept worker domains (spawned only when
+    none is idle).
     @raise Mhla_util.Error.Error ([Invalid_input]) on non-positive
     [jobs] or [queue_depth]. *)
 
@@ -74,9 +76,10 @@ val drain : t -> Response.t list
     responses not yet handed out (in submission order). *)
 
 val shutdown : t -> unit
-(** {!drain} leftovers are kept; waits for workers to exit, joins
-    them, and merges their telemetry children into the parent sink in
-    worker order. Idempotent. *)
+(** {!drain} leftovers are kept; waits for workers to exit, hands
+    their domains back to {!Mhla_util.Domain_pool}, and merges their
+    telemetry children into the parent sink in worker order.
+    Idempotent. *)
 
 type summary = {
   submitted : int;

@@ -5,7 +5,8 @@ module Prefetch = Mhla_core.Prefetch
 
 type bt_check = {
   check_id : string;
-  params : Pipeline.params;
+  stream : Event.stream;
+  channels : int;
   simulated : Pipeline.outcome;
   analytic_stall_cycles : int;
   cold_start_bound : int;
@@ -155,43 +156,50 @@ type report = {
   analysis : analysis_check;
 }
 
-let check_of_plan (m : Mapping.t) (plan : Prefetch.plan) =
+(* The DMA engine's channel count; one when the hierarchy has no DMA. *)
+let dma_channels (m : Mapping.t) =
+  if Mhla_arch.Hierarchy.has_dma m.Mapping.hierarchy then
+    (Mhla_arch.Hierarchy.dma_exn m.Mapping.hierarchy).Mhla_arch.Dma.channels
+  else 1
+
+let stream_of_plan (m : Mapping.t) (plan : Prefetch.plan) =
   let bt = plan.Prefetch.bt in
-  let setup_cycles, channels =
-    if Mhla_arch.Hierarchy.has_dma m.Mapping.hierarchy then begin
-      let d = Mhla_arch.Hierarchy.dma_exn m.Mapping.hierarchy in
-      (d.Mhla_arch.Dma.setup_cycles, d.Mhla_arch.Dma.channels)
-    end
-    else (0, 1)
+  let setup_cycles =
+    if Mhla_arch.Hierarchy.has_dma m.Mapping.hierarchy then
+      (Mhla_arch.Hierarchy.dma_exn m.Mapping.hierarchy).Mhla_arch.Dma
+        .setup_cycles
+    else 0
   in
   let compute_cycles =
     match plan.Prefetch.freedom with
     | iter :: _ -> Cost.loop_iteration_cycles m ~iter
     | [] -> 0
   in
-  let params =
-    {
-      Pipeline.issues = bt.Mapping.issues;
-      transfer_cycles = plan.Prefetch.bt_time;
-      compute_cycles;
-      lookahead = plan.Prefetch.extra_buffers;
-      setup_cycles;
-      channels;
-    }
-  in
-  let simulated = Pipeline.run params in
-  let faultless = Pipeline.run_faulty Faults.none params in
   {
-    check_id = bt.Mapping.bt_id;
-    params;
+    Event.issues = bt.Mapping.issues;
+    bytes_per_issue = bt.Mapping.bytes_per_issue;
+    transfer_cycles = plan.Prefetch.bt_time;
+    compute_cycles;
+    lookahead = plan.Prefetch.extra_buffers;
+    setup_cycles;
+  }
+
+let check_of_plan (m : Mapping.t) (plan : Prefetch.plan) =
+  let stream = stream_of_plan m plan in
+  let channels = dma_channels m in
+  let faultless = Pipeline.run_faulty Faults.none ~channels stream in
+  let simulated = faultless.Pipeline.fault_result in
+  {
+    check_id = plan.Prefetch.bt.Mapping.bt_id;
+    stream;
+    channels;
     simulated;
-    analytic_stall_cycles = Pipeline.analytic_stall params;
+    analytic_stall_cycles = Pipeline.analytic_stall ~channels stream;
     cold_start_bound =
-      (params.Pipeline.lookahead + 1)
-      * (params.Pipeline.transfer_cycles + params.Pipeline.setup_cycles);
+      (stream.Event.lookahead + 1)
+      * (stream.Event.transfer_cycles + stream.Event.setup_cycles);
     zero_fault_consistent =
-      faultless.Pipeline.fault_result = simulated
-      && faultless.Pipeline.retries = 0
+      faultless.Pipeline.retries = 0
       && faultless.Pipeline.fallbacks = 0
       && faultless.Pipeline.failed_attempts = 0;
   }
@@ -266,28 +274,6 @@ let waitstates_of_bt (m : Mapping.t) (bt : Mapping.block_transfer) =
         dst.Mhla_arch.Layer.bandwidth_bytes_per_cycle;
   }
 
-let stream_of_plan (m : Mapping.t) (plan : Prefetch.plan) =
-  let bt = plan.Prefetch.bt in
-  let setup_cycles =
-    if Mhla_arch.Hierarchy.has_dma m.Mapping.hierarchy then
-      (Mhla_arch.Hierarchy.dma_exn m.Mapping.hierarchy).Mhla_arch.Dma
-        .setup_cycles
-    else 0
-  in
-  let compute_cycles =
-    match plan.Prefetch.freedom with
-    | iter :: _ -> Cost.loop_iteration_cycles m ~iter
-    | [] -> 0
-  in
-  {
-    Event.issues = bt.Mapping.issues;
-    bytes_per_issue = bt.Mapping.bytes_per_issue;
-    transfer_cycles = plan.Prefetch.bt_time;
-    compute_cycles;
-    lookahead = plan.Prefetch.extra_buffers;
-    setup_cycles;
-  }
-
 (* Why [(lookahead + 2) * (transfer + setup)]: the analytic gain is the
    difference of two steady-state stall figures, and each leg of the
    event simulation is within its own cold-start bound of the analytic
@@ -318,26 +304,18 @@ let check_event_plan ?telemetry ?(config : Event.config option)
   let event_gain_cycles =
     baseline_outcome.Event.stall_cycles - extended_outcome.Event.stall_cycles
   in
-  let params k =
-    {
-      Pipeline.issues = stream.Event.issues;
-      transfer_cycles = stream.Event.transfer_cycles;
-      compute_cycles = stream.Event.compute_cycles;
-      lookahead = k;
-      setup_cycles = stream.Event.setup_cycles;
-      channels = event_config.Event.channels;
-    }
-  in
+  let channels = event_config.Event.channels in
+  let leg k = { stream with Event.lookahead = k } in
   let analytic_gain_cycles =
-    Pipeline.analytic_stall (params 0)
-    - Pipeline.analytic_stall (params stream.Event.lookahead)
+    Pipeline.analytic_stall ~channels (leg 0)
+    - Pipeline.analytic_stall ~channels stream
   in
   (* The event engine under the neutral configuration must reproduce
      the analytic replay cycle for cycle — on both legs. *)
-  let neutral = Event.neutral ~channels:event_config.Event.channels in
+  let neutral = Event.neutral ~channels in
   let neutral_leg k =
-    let o = Event.run ?telemetry neutral { stream with Event.lookahead = k } in
-    let p = Pipeline.run (params k) in
+    let o = Event.run ?telemetry neutral (leg k) in
+    let p = Pipeline.run ~channels (leg k) in
     o.Event.total_cycles = p.Pipeline.total_cycles
     && o.Event.stall_cycles = p.Pipeline.stall_cycles
     && o.Event.dma_busy_cycles = p.Pipeline.dma_busy_cycles

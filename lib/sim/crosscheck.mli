@@ -9,24 +9,26 @@
     invariants ({!check_analysis}).
 
     The pipeline check: for every block transfer the TE step planned,
-    build the equivalent {!Pipeline} stream and compare simulated
-    against analytic stalls. The analytic model is a steady-state
-    approximation: it ignores the pipeline cold start (the first
-    [lookahead+1] buffers cannot be hidden) and DMA channel
+    build its stream ({!stream_of_plan}) and compare {!Pipeline}'s
+    simulated stalls against the analytic ones. The analytic model is a
+    steady-state approximation: it ignores the pipeline cold start (the
+    first [lookahead+1] buffers cannot be hidden) and DMA channel
     serialisation, so per-stream agreement is required only up to
     [cold_start_bound]. *)
 
 type bt_check = {
   check_id : string;
-  params : Pipeline.params;
-  simulated : Pipeline.outcome;
+  stream : Event.stream;  (** the plan, as a simulator stream *)
+  channels : int;  (** DMA channels of the mapping's hierarchy *)
+  simulated : Pipeline.outcome;  (** {!Pipeline.run} of [stream] *)
   analytic_stall_cycles : int;
   cold_start_bound : int;
       (** [(lookahead+1) * (transfer + setup)] slack allowed *)
   zero_fault_consistent : bool;
-      (** {!Pipeline.run_faulty} under {!Faults.none} reproduced
-          [simulated] exactly, with zero retries/fallbacks — the fault
-          machinery adds nothing when no faults are configured *)
+      (** the run behind [simulated], {!Pipeline.run_faulty} under
+          {!Faults.none}, saw no retry, fallback or failed attempt —
+          the fault machinery adds nothing when no faults are
+          configured *)
 }
 
 val within_bound : bt_check -> bool
@@ -168,8 +170,12 @@ val waitstates_of_bt :
 
 val stream_of_plan :
   Mhla_core.Mapping.t -> Mhla_core.Prefetch.plan -> Event.stream
-(** The simulator stream of one TE plan, derived exactly as the
-    analytic pipeline check derives its {!Pipeline.params}. *)
+(** The simulator stream of one TE plan: the block transfer's issues
+    and bytes, the plan's [bt_time] and [extra_buffers] as transfer
+    time and lookahead, one iteration of the plan's outermost freedom
+    loop as compute, and the DMA setup per issue (0 without a DMA).
+    Every check in this module, and {!Robustness}, simulates the
+    stream this returns. *)
 
 type event_report = {
   event_checks : event_check list;

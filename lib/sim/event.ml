@@ -102,10 +102,6 @@ type outcome = {
   demand_fetches : int;
   invalidated_prefetches : int;
   deferred_issues : int;
-  retries : int;
-  fallbacks : int;
-  failed_attempts : int;
-  jitter_total_cycles : int;
   events_processed : int;
   channel_busy_cycles : int array;
 }
@@ -177,16 +173,15 @@ end
 (* --- the simulator ----------------------------------------------------- *)
 
 type event =
-  | Complete of { channel : int; transfer : int; attempt : int }
+  | Complete of int  (** this transfer's data landed *)
   | Cpu_step
 
 (* What a transfer stream element is doing right now. *)
 type tstate =
   | Unissued  (** not (or no longer) set up by the CPU *)
   | Queued  (** in the prefetch queue, waiting for a channel *)
-  | Flying of { finish : int }  (** on a channel; current attempt's ETA *)
-  | Done of int  (** completed at this time *)
-  | Failed  (** retries exhausted *)
+  | Flying  (** on a channel *)
+  | Done  (** landed *)
 
 (* What the CPU does when its next Cpu_step fires. *)
 type cpu_action =
@@ -200,18 +195,17 @@ type cpu_action =
 let rank_complete = 0
 let rank_cpu = 1
 
-let run ?(telemetry = Telemetry.noop) ?(faults = Faults.none) cfg s =
+let run ?(telemetry = Telemetry.noop) cfg s =
   validate cfg;
   validate_stream s;
-  Faults.validate faults;
   Telemetry.span telemetry ~cat:"sim" "sim.event"
     ~args:(fun () ->
       [ ("issues", Telemetry.Int s.issues);
         ("lookahead", Telemetry.Int s.lookahead);
         ("channels", Telemetry.Int cfg.channels);
         ("queue_depth",
-         Telemetry.Int (if cfg.queue_depth = max_int then 0 else cfg.queue_depth));
-        ("seed", Telemetry.Str (Int64.to_string faults.Faults.seed)) ])
+         Telemetry.Int
+           (if cfg.queue_depth = max_int then 0 else cfg.queue_depth)) ])
   @@ fun () ->
   let latency = transfer_latency cfg s in
   let heap = Heap.create { Heap.time = 0; rank = 0; seq = 0; ev = Cpu_step } in
@@ -236,10 +230,6 @@ let run ?(telemetry = Telemetry.noop) ?(faults = Faults.none) cfg s =
   let demand_fetches = ref 0 in
   let invalidated = ref 0 in
   let deferrals = ref 0 in
-  let retries = ref 0 in
-  let fallbacks = ref 0 in
-  let failed_attempts = ref 0 in
-  let jitter_total = ref 0 in
   let events = ref 0 in
   let it = ref 0 in
   let action = ref Begin_iteration in
@@ -261,29 +251,24 @@ let run ?(telemetry = Telemetry.noop) ?(faults = Faults.none) cfg s =
       data_start
     end
   in
-  let rec start_transfer ~now ~channel ~attempt j =
-    let start =
-      Faults.outage_release faults ~channel
-        ~at:(max now channel_free.(channel))
-    in
-    let jitter = Faults.jitter_cycles faults ~transfer:j ~attempt in
-    jitter_total := !jitter_total + jitter;
-    let data_start = claim_bus start in
-    let finish = data_start + latency + jitter in
+  (* [channel] is free at [now]: [pick_channel] only offers free ones. *)
+  let start_transfer ~now ~channel j =
+    let data_start = claim_bus now in
+    let finish = data_start + latency in
     if cfg.shared_bus then bus_free := finish;
     channel_free.(channel) <- finish;
-    dma_busy := !dma_busy + latency + jitter;
-    channel_busy.(channel) <- channel_busy.(channel) + latency + jitter;
-    st.(j) <- Flying { finish };
+    dma_busy := !dma_busy + latency;
+    channel_busy.(channel) <- channel_busy.(channel) + latency;
+    st.(j) <- Flying;
     Telemetry.instant telemetry ~cat:"sim" "esim.dispatch"
       ~args:(fun () ->
         [ ("transfer", Telemetry.Int j);
           ("channel", Telemetry.Int channel);
-          ("attempt", Telemetry.Int attempt);
           ("start", Telemetry.Int data_start);
           ("finish", Telemetry.Int finish) ]);
-    schedule finish rank_complete (Complete { channel; transfer = j; attempt })
-  and pick_channel now =
+    schedule finish rank_complete (Complete j)
+  in
+  let pick_channel now =
     match cfg.arbitration with
     | Earliest_free ->
       (* Pipeline.run's argmin scan: the longest-idle free channel,
@@ -303,14 +288,15 @@ let run ?(telemetry = Telemetry.noop) ?(faults = Faults.none) cfg s =
         if !found = None && channel_free.(c) <= now then found := Some c
       done;
       !found
-  and try_dispatch now =
+  in
+  let rec try_dispatch now =
     if not (Queue.is_empty prefetch_q) then begin
       match pick_channel now with
       | None -> ()
       | Some c ->
         let j = Queue.pop prefetch_q in
         last_channel := c;
-        start_transfer ~now ~channel:c ~attempt:0 j;
+        start_transfer ~now ~channel:c j;
         try_dispatch now
     end
   in
@@ -394,7 +380,7 @@ let run ?(telemetry = Telemetry.noop) ?(faults = Faults.none) cfg s =
   and consume ~now =
     let j = !it in
     match st.(j) with
-    | Done _ ->
+    | Done ->
       note_stall ~now;
       consumed.(j) <- true;
       release_slot j;
@@ -402,22 +388,13 @@ let run ?(telemetry = Telemetry.noop) ?(faults = Faults.none) cfg s =
         ~args:(fun () ->
           [ ("transfer", Telemetry.Int j); ("at", Telemetry.Int now) ]);
       proceed_compute ~now
-    | Flying { finish } -> (
-      match faults.Faults.deadline_patience with
-      | Some d when finish - now > d ->
-        (* Too late to be worth waiting for: synchronous refetch; the
-           in-flight burst still drains its channel. *)
-        incr fallbacks;
-        note_stall ~now;
-        demand_fetch ~now j
-      | _ ->
-        (* A miss: the demanded data is still in flight. Under the
-           GBA prefetch-buffer rule the miss flushes every
-           queued-but-unstarted prefetch; the in-flight burst itself
-           is awaited. *)
-        if cfg.invalidate_on_miss then flush_queue ~now;
-        if !wait_from < 0 then wait_from := now;
-        action := Blocked)
+    | Flying ->
+      (* A miss: the demanded data is still in flight. Under the GBA
+         prefetch-buffer rule the miss flushes every queued-but-unstarted
+         prefetch; the in-flight burst itself is awaited. *)
+      if cfg.invalidate_on_miss then flush_queue ~now;
+      if !wait_from < 0 then wait_from := now;
+      action := Blocked
     | Queued ->
       if cfg.invalidate_on_miss then begin
         flush_queue ~now;
@@ -433,10 +410,6 @@ let run ?(telemetry = Telemetry.noop) ?(faults = Faults.none) cfg s =
     | Unissued ->
       (* Deferred past its consumer (or flushed): fetch on demand. *)
       incr demand_fetches;
-      note_stall ~now;
-      demand_fetch ~now j
-    | Failed ->
-      incr fallbacks;
       note_stall ~now;
       demand_fetch ~now j
   in
@@ -464,51 +437,20 @@ let run ?(telemetry = Telemetry.noop) ?(faults = Faults.none) cfg s =
     | Consume -> consume ~now
     | Finish_demand -> proceed_compute ~now
     | Blocked ->
-      (* Woken by a completion (or failure) of the awaited transfer. *)
+      (* Woken by the completion of the awaited transfer. *)
       action := Consume;
       consume ~now
   in
-  let complete ~now ~channel ~attempt j =
-    if consumed.(j) then
-      (* A patience fallback already consumed this iteration; the burst
-         just frees its channel. *)
-      try_dispatch now
-    else if Faults.attempt_fails faults ~transfer:j ~attempt then begin
-      incr failed_attempts;
-      if attempt >= faults.Faults.max_retries then begin
-        st.(j) <- Failed;
-        Telemetry.instant telemetry ~cat:"sim" "esim.failed"
-          ~args:(fun () -> [ ("transfer", Telemetry.Int j) ]);
-        (if !action = Blocked && !it = j then begin
-           action := Consume;
-           schedule now rank_cpu Cpu_step
-         end);
-        try_dispatch now
-      end
-      else begin
-        incr retries;
-        Telemetry.instant telemetry ~cat:"sim" "esim.retry"
-          ~args:(fun () ->
-            [ ("transfer", Telemetry.Int j);
-              ("attempt", Telemetry.Int attempt) ]);
-        (* The retry re-enters the same channel after backoff; passing
-           the release time as [now] reproduces Pipeline.run_faulty's
-           [max earliest channel_free]. *)
-        start_transfer ~now:(now + Faults.backoff_cycles faults ~attempt)
-          ~channel ~attempt:(attempt + 1) j
-      end
-    end
-    else begin
-      st.(j) <- Done now;
-      Telemetry.instant telemetry ~cat:"sim" "esim.complete"
-        ~args:(fun () ->
-          [ ("transfer", Telemetry.Int j); ("at", Telemetry.Int now) ]);
-      (if !action = Blocked && !it = j then begin
-         action := Consume;
-         schedule now rank_cpu Cpu_step
-       end);
-      try_dispatch now
-    end
+  let complete ~now j =
+    st.(j) <- Done;
+    Telemetry.instant telemetry ~cat:"sim" "esim.complete"
+      ~args:(fun () ->
+        [ ("transfer", Telemetry.Int j); ("at", Telemetry.Int now) ]);
+    (if !action = Blocked && !it = j then begin
+       action := Consume;
+       schedule now rank_cpu Cpu_step
+     end);
+    try_dispatch now
   in
   schedule 0 rank_cpu Cpu_step;
   while !finished_at < 0 && not (Heap.is_empty heap) do
@@ -518,8 +460,7 @@ let run ?(telemetry = Telemetry.noop) ?(faults = Faults.none) cfg s =
     incr events;
     match ev with
     | Cpu_step -> cpu_step ~now
-    | Complete { channel; transfer; attempt } ->
-      complete ~now ~channel ~attempt transfer
+    | Complete j -> complete ~now j
   done;
   if !finished_at < 0 then
     Error.internalf ~context:"Event.run"
@@ -533,17 +474,13 @@ let run ?(telemetry = Telemetry.noop) ?(faults = Faults.none) cfg s =
     demand_fetches = !demand_fetches;
     invalidated_prefetches = !invalidated;
     deferred_issues = !deferrals;
-    retries = !retries;
-    fallbacks = !fallbacks;
-    failed_attempts = !failed_attempts;
-    jitter_total_cycles = !jitter_total;
     events_processed = !events;
     channel_busy_cycles = channel_busy;
   }
 
-let te_gain ?faults cfg s =
-  let baseline = run ?faults cfg { s with lookahead = 0 } in
-  let extended = run ?faults cfg s in
+let te_gain cfg s =
+  let baseline = run cfg { s with lookahead = 0 } in
+  let extended = run cfg s in
   baseline.stall_cycles - extended.stall_cycles
 
 let outcome_to_json o =
@@ -555,19 +492,7 @@ let outcome_to_json o =
       ("demand_fetches", Json.int o.demand_fetches);
       ("invalidated_prefetches", Json.int o.invalidated_prefetches);
       ("deferred_issues", Json.int o.deferred_issues);
-      ("retries", Json.int o.retries);
-      ("fallbacks", Json.int o.fallbacks);
-      ("failed_attempts", Json.int o.failed_attempts);
-      ("jitter_total_cycles", Json.int o.jitter_total_cycles);
       ("events_processed", Json.int o.events_processed);
       ("channel_busy_cycles",
        Json.arr (Array.to_list (Array.map Json.int o.channel_busy_cycles)))
     ]
-
-let pp_outcome ppf o =
-  Fmt.pf ppf
-    "total %d, stall %d, dma busy %d, bus wait %d, demand %d, invalidated \
-     %d, deferred %d, retries %d, fallbacks %d, events %d"
-    o.total_cycles o.stall_cycles o.dma_busy_cycles o.bus_wait_cycles
-    o.demand_fetches o.invalidated_prefetches o.deferred_issues o.retries
-    o.fallbacks o.events_processed

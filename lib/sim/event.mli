@@ -13,10 +13,12 @@
     a stated tolerance, and any divergence is reported as a structured
     diagnostic, never an assert.
 
-    Everything is deterministic: same stream, config and fault model
-    ⇒ the same event trace and the same cycle counts, whatever domain
-    the run is fanned onto. The only sources of variation are the
-    explicit {!Faults.t} seed and the configuration itself. *)
+    Everything is deterministic: the same stream and config give the
+    same event trace and the same cycle counts, whatever domain the run
+    is fanned onto. Nothing is random.
+
+    This module models no faults: jitter, corrupt transfers, retries,
+    outages and fallbacks are {!Pipeline.run_faulty}'s alone. *)
 
 (** How a freed slot picks among free channels. [Earliest_free]
     mirrors {!Pipeline.run}'s argmin scan (longest-idle channel,
@@ -75,12 +77,13 @@ val validate : config -> unit
 (** @raise Mhla_util.Error.Error on non-positive channels, queue depth
     or waitstate fields. *)
 
-(** One block-transfer stream, the same shape {!Pipeline.params}
-    describes: [issues] transfers consumed one per iteration,
+(** One block-transfer stream, the record both simulators take:
+    [issues] transfers consumed one per iteration,
     [lookahead] iterations of prefetch distance, [setup_cycles] of CPU
     work per issue, [compute_cycles] of CPU work per iteration.
     [bytes_per_issue] sizes waitstate beats; it is ignored when the
-    config carries no waitstate table. *)
+    config carries no waitstate table, and by {!Pipeline}.
+    {!Crosscheck.stream_of_plan} derives it from a TE plan. *)
 type stream = {
   issues : int;
   bytes_per_issue : int;
@@ -91,13 +94,13 @@ type stream = {
 }
 
 val transfer_latency : config -> stream -> int
-(** Nominal (fault-free) cycles of one transfer under the config's
+(** Cycles of one transfer under the config's
     waitstate table, or [stream.transfer_cycles] without one. *)
 
 type outcome = {
   total_cycles : int;
   stall_cycles : int;  (** CPU cycles lost waiting on data *)
-  dma_busy_cycles : int;  (** summed channel occupancy (incl. retries) *)
+  dma_busy_cycles : int;  (** summed channel occupancy *)
   bus_wait_cycles : int;  (** cycles spent arbitrating for the shared bus *)
   demand_fetches : int;
       (** consumes that found their transfer unissued or flushed and
@@ -106,31 +109,18 @@ type outcome = {
       (** queued-but-unstarted transfers flushed by demand misses *)
   deferred_issues : int;
       (** issue attempts postponed because the prefetch queue was full *)
-  retries : int;
-  fallbacks : int;
-      (** consumes degraded by the fault model (retries exhausted or
-          deadline patience) *)
-  failed_attempts : int;
-  jitter_total_cycles : int;
   events_processed : int;  (** heap pops — the cycles/s denominator *)
   channel_busy_cycles : int array;  (** per-channel occupancy *)
 }
 
-val run :
-  ?telemetry:Mhla_obs.Telemetry.t ->
-  ?faults:Faults.t ->
-  config ->
-  stream ->
-  outcome
-(** Simulate one stream. [faults] defaults to {!Faults.none}.
-    @raise Mhla_util.Error.Error on an invalid config, stream or fault
-    model. *)
+val run : ?telemetry:Mhla_obs.Telemetry.t -> config -> stream -> outcome
+(** Simulate one stream.
+    @raise Mhla_util.Error.Error on an invalid config or stream. *)
 
-val te_gain : ?faults:Faults.t -> config -> stream -> int
+val te_gain : config -> stream -> int
 (** [stall (lookahead := 0) - stall (stream.lookahead)] — the stall
     cycles the stream's time extension removed, as the event simulator
     measures them. The analytic counterpart is
     [issues * hidden_cycles]. *)
 
 val outcome_to_json : outcome -> Mhla_util.Json.t
-val pp_outcome : outcome Fmt.t

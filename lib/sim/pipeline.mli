@@ -6,31 +6,19 @@
     buffers, a DMA engine filling them [lookahead] iterations ahead —
     and measures the stalls that actually occur, including the cold
     start and DMA serialisation the analytic model ignores. Agreement
-    within the cold-start bound is the EXT-XVAL experiment. *)
+    within the cold-start bound is the EXT-XVAL experiment.
 
-type params = {
-  issues : int;  (** transfers in the stream (refresh-loop trip) *)
-  transfer_cycles : int;  (** DMA busy time per issue *)
-  compute_cycles : int;  (** CPU work per iteration between uses *)
-  lookahead : int;
-      (** how many iterations ahead a transfer is initiated; [0] =
-          synchronous (no TE) *)
-  setup_cycles : int;  (** CPU-paid DMA programming per issue *)
-  channels : int;  (** concurrent DMA channels (>= 1) *)
-}
+    Every function takes the stream as an {!Event.stream}, the record
+    {!Event.run} takes too, plus the number of concurrent DMA channels
+    ([>= 1]). A transfer takes the stream's [transfer_cycles];
+    [bytes_per_issue] is ignored. {!run_faulty} is the repository's
+    only fault model. *)
 
 type outcome = {
   total_cycles : int;  (** makespan of the whole stream *)
   stall_cycles : int;  (** CPU cycles spent waiting on transfers *)
   dma_busy_cycles : int;
 }
-
-val run : ?telemetry:Mhla_obs.Telemetry.t -> params -> outcome
-(** [telemetry] (default noop) records a [sim.pipeline] span and one
-    [dma.issue] / [dma.complete] event per transfer plus a [dma.stall]
-    event per stalled iteration, all carrying simulated-cycle
-    timestamps in their args; it never changes the outcome.
-    @raise Mhla_util.Error.Error on negative parameters or [issues <= 0]. *)
 
 type fault_outcome = {
   fault_result : outcome;  (** cycles as measured under faults *)
@@ -44,28 +32,41 @@ type fault_outcome = {
 }
 
 val run_faulty :
-  ?telemetry:Mhla_obs.Telemetry.t -> Faults.t -> params -> fault_outcome
-(** [run] with every DMA attempt filtered through the fault model:
-    latency jitter stretches attempts, failed attempts occupy their
-    channel then retry after capped exponential backoff, and outage
-    windows delay starts. When a transfer exhausts its retries — or
-    outstays [deadline_patience] — the consuming iteration falls back
-    to a synchronous refetch (setup + full transfer, all stall)
-    instead of diverging. Deterministic in the fault seed.
-    Under {!Faults.none} this is exactly {!run}, cycle for cycle.
-    [telemetry] records a [sim.pipeline_faulty] span and, on top of the
-    fault-free event stream, one [dma.retry] event per re-issued
-    attempt and one [dma.fallback] event (with its reason) per degraded
-    iteration.
-    @raise Mhla_util.Error.Error on invalid [params] or fault model. *)
+  ?telemetry:Mhla_obs.Telemetry.t ->
+  Faults.t ->
+  channels:int ->
+  Event.stream ->
+  fault_outcome
+(** Replay the stream with every DMA attempt filtered through the
+    fault model: latency jitter stretches attempts, failed attempts
+    occupy their channel then retry after capped exponential backoff,
+    and outage windows delay starts. When a transfer exhausts its
+    retries — or outstays [deadline_patience] — the consuming iteration
+    falls back to a synchronous refetch (setup + full transfer, all
+    stall) instead of diverging. Deterministic in the fault seed.
 
-val analytic_stall : params -> int
+    [telemetry] (default noop) records a [sim.pipeline] span and one
+    [dma.issue] event per transfer, one [dma.complete] event per
+    consumed buffer and a [dma.stall] event per stalled iteration, all
+    carrying simulated-cycle timestamps in their args; under faults it
+    adds one [dma.retry] event per re-issued attempt and one
+    [dma.fallback] event (with its reason) per degraded iteration. It
+    never changes the outcome.
+    @raise Mhla_util.Error.Error on negative stream parameters,
+    [issues <= 0], [channels < 1] or an invalid fault model. *)
+
+val run :
+  ?telemetry:Mhla_obs.Telemetry.t -> channels:int -> Event.stream -> outcome
+(** The fault-free replay: {!run_faulty} under {!Faults.none}, whose
+    outcome it returns. *)
+
+val analytic_stall : channels:int -> Event.stream -> int
 (** The tool's (Figure-1) stall arithmetic for the same stream:
     [issues * max 0 (transfer_cycles - lookahead * compute_cycles)].
     Accurate while the DMA channel keeps up (transfer <= compute); with
     a saturated channel it is optimistic — see {!steady_state_stall}. *)
 
-val steady_state_stall : params -> int
+val steady_state_stall : channels:int -> Event.stream -> int
 (** Steady-state stall of the simulated pipeline, cold start excluded.
     With no lookahead every issue stalls [transfer_cycles]. With
     lookahead [k], [min k channels] transfers overlap, giving an
@@ -75,5 +76,3 @@ val steady_state_stall : params -> int
     {b lower bound} — the simulator can stall somewhat more because
     issue and consumption phase against each other (the single-channel
     form is then an upper bound). *)
-
-val pp_outcome : outcome Fmt.t

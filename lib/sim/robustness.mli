@@ -10,14 +10,17 @@
 
 type plan_robustness = {
   check_id : string;  (** the block transfer's id *)
-  params : Pipeline.params;
+  stream : Event.stream;
+      (** the plan, as {!Crosscheck.stream_of_plan} derives it *)
+  channels : int;  (** DMA channels it is simulated on *)
   fault_free : Pipeline.outcome;  (** {!Pipeline.run} baseline *)
   slack_margin_cycles : int;
       (** [cold_start_bound - |simulated - analytic|]: how far inside
           the tolerated envelope the fault-free stream sits; negative
           means the analytic model already disagrees *)
   zero_fault_consistent : bool;
-      (** zero-fault {!Pipeline.run_faulty} equals [fault_free] exactly *)
+      (** the check's [zero_fault_consistent]: the zero-fault run
+          behind [fault_free] injected nothing *)
   worst_stall_cycles : int;  (** max stall over the trials *)
   mean_stall_cycles : float;  (** mean stall over the trials *)
   worst_inflation : float;

@@ -19,6 +19,20 @@ val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the number of workers that
     saturates the hardware without oversubscribing it. Always >= 1. *)
 
+type worker
+(** A kept worker domain, running one detached job. *)
+
+val start : (unit -> unit) -> worker
+(** Run a job on an idle worker domain, spawning a new one only when
+    none is idle, and return without waiting for it. A job may run for
+    as long as its caller likes (a service's request loop does). Every
+    started worker must be {!await}ed exactly once: that hands it back
+    to the idle workers that {!map} and later [start]s draw on. *)
+
+val await : worker -> (unit, exn * Printexc.raw_backtrace) result
+(** Block until the worker's job returns, hand the worker back to the
+    idle ones and report how the job ended. *)
+
 val map_with :
   ?jobs:int ->
   init:(int -> 'c) ->

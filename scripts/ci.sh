@@ -41,7 +41,7 @@ echo "== -j determinism reruns =="
 # along so a regression of that kind shows up here too.
 runs=20
 for spec in "obs merge" "explore sweep 2,3" "explore pareto 1" \
-    "policy portfolio 0,1" "esim determinism 2" "service executor 6"; do
+    "policy portfolio 0,1" "esim determinism 1" "service executor 6"; do
   set -- $spec
   exe="_build/default/test/test_$1.exe"
   shift

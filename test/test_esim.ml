@@ -9,7 +9,6 @@ let invalid ?hint context message =
 
 module Event = Mhla_sim.Event
 module Pipeline = Mhla_sim.Pipeline
-module Faults = Mhla_sim.Faults
 module Crosscheck = Mhla_sim.Crosscheck
 module Assign = Mhla_core.Assign
 module Explore = Mhla_core.Explore
@@ -23,16 +22,6 @@ let stream ?(issues = 10) ?(bytes = 0) ?(transfer = 20) ?(compute = 30)
     compute_cycles = compute;
     lookahead;
     setup_cycles = setup;
-  }
-
-let params_of ~channels (s : Event.stream) =
-  {
-    Pipeline.issues = s.Event.issues;
-    transfer_cycles = s.Event.transfer_cycles;
-    compute_cycles = s.Event.compute_cycles;
-    lookahead = s.Event.lookahead;
-    setup_cycles = s.Event.setup_cycles;
-    channels;
   }
 
 let outcome_triple (o : Event.outcome) =
@@ -60,10 +49,10 @@ let test_neutral_hand_checked () =
   Alcotest.(check int) "one buffer leaves only the cold start" 20
     o1.Event.stall_cycles;
   Alcotest.check triple "lookahead 0 equals Pipeline.run"
-    (pipeline_triple (Pipeline.run (params_of ~channels:1 s)))
+    (pipeline_triple (Pipeline.run ~channels:1 s))
     (outcome_triple o);
   Alcotest.check triple "lookahead 1 equals Pipeline.run"
-    (pipeline_triple (Pipeline.run (params_of ~channels:1 s1)))
+    (pipeline_triple (Pipeline.run ~channels:1 s1))
     (outcome_triple o1)
 
 let test_neutral_equivalence_grid () =
@@ -86,9 +75,7 @@ let test_neutral_equivalence_grid () =
                           let o =
                             Event.run (Event.neutral ~channels) s
                           in
-                          let p =
-                            Pipeline.run (params_of ~channels s)
-                          in
+                          let p = Pipeline.run ~channels s in
                           Alcotest.check triple
                             (Fmt.str
                                "i%d t%d c%d l%d s%d ch%d equals pipeline"
@@ -109,15 +96,9 @@ let prop_neutral_equivalence =
     (fun (issues, transfer, compute, lookahead, setup, channels) ->
       let s = stream ~issues ~transfer ~compute ~lookahead ~setup () in
       outcome_triple (Event.run (Event.neutral ~channels) s)
-      = pipeline_triple (Pipeline.run (params_of ~channels s)))
+      = pipeline_triple (Pipeline.run ~channels s))
 
 (* --- determinism ------------------------------------------------------- *)
-
-let faulty =
-  Faults.make
-    ~jitter:(Faults.Uniform { max_extra_cycles = 9 })
-    ~failure_permille:40 ~max_retries:2 ~deadline_patience:500 ~seed:0xE51AL
-    ()
 
 let hostile =
   {
@@ -130,29 +111,14 @@ let hostile =
       Some { Event.first_cycles = 6; seq_cycles = 2; beat_bytes = 8 };
   }
 
-let test_determinism_same_seed () =
+let test_determinism_same_stream () =
   let s =
     stream ~issues:40 ~bytes:64 ~transfer:50 ~compute:10 ~lookahead:3
       ~setup:4 ()
   in
-  let a = Event.run ~faults:faulty hostile s in
-  let b = Event.run ~faults:faulty hostile s in
-  Alcotest.(check bool) "same seed, identical outcome" true (a = b);
-  let other =
-    Event.run ~faults:{ faulty with Faults.seed = 0x0DDL } hostile s
-  in
-  Alcotest.(check bool) "the fault trace depends on the seed" true
-    (a.Event.jitter_total_cycles <> other.Event.jitter_total_cycles
-    || a.Event.total_cycles <> other.Event.total_cycles
-    || a = other)
-
-let test_zero_faults_inert () =
-  let s = stream ~issues:25 ~transfer:40 ~compute:15 ~lookahead:2 ~setup:3 () in
-  let plain = Event.run (Event.neutral ~channels:2) s in
-  let with_none = Event.run ~faults:Faults.none (Event.neutral ~channels:2) s in
-  Alcotest.(check bool) "Faults.none adds nothing" true (plain = with_none);
-  Alcotest.(check int) "no retries" 0 plain.Event.retries;
-  Alcotest.(check int) "no fallbacks" 0 plain.Event.fallbacks
+  let a = Event.run hostile s in
+  let b = Event.run hostile s in
+  Alcotest.(check bool) "same stream, identical outcome" true (a = b)
 
 let test_domain_pool_determinism () =
   let streams =
@@ -163,7 +129,7 @@ let test_domain_pool_determinism () =
           ~compute:(3 + (5 * (i mod 4)))
           ~lookahead:(i mod 5) ~setup:(i mod 3) ())
   in
-  let simulate s = Event.run ~faults:faulty hostile s in
+  let simulate s = Event.run hostile s in
   let serial = Mhla_util.Domain_pool.map ~jobs:1 simulate streams in
   let fanned = Mhla_util.Domain_pool.map ~jobs:4 simulate streams in
   Alcotest.(check bool) "jobs:1 == jobs:4" true (serial = fanned)
@@ -308,17 +274,6 @@ let test_validation () =
            }
            (stream ())))
 
-(* --- faults ------------------------------------------------------------ *)
-
-let test_faulty_stream_terminates_and_accounts () =
-  let s = stream ~issues:50 ~transfer:30 ~compute:10 ~lookahead:2 ~setup:2 () in
-  let o = Event.run ~faults:faulty (Event.neutral ~channels:2) s in
-  Alcotest.(check bool) "failures surfaced" true
-    (o.Event.failed_attempts > 0);
-  Alcotest.(check bool) "faults only add cycles" true
-    (o.Event.total_cycles
-    >= (Event.run (Event.neutral ~channels:2) s).Event.total_cycles)
-
 (* --- te_gain and the cross-validation ---------------------------------- *)
 
 let test_te_gain_sign () =
@@ -417,10 +372,8 @@ let () =
        ]);
       ("determinism",
        [
-         Alcotest.test_case "same seed, same cycles" `Quick
-           test_determinism_same_seed;
-         Alcotest.test_case "Faults.none is inert" `Quick
-           test_zero_faults_inert;
+         Alcotest.test_case "same stream, same cycles" `Quick
+           test_determinism_same_stream;
          Alcotest.test_case "jobs:1 == jobs:N over Domain_pool" `Quick
            test_domain_pool_determinism;
        ]);
@@ -444,8 +397,6 @@ let () =
          Alcotest.test_case "config from hierarchy" `Quick
            test_of_hierarchy_matches_cost_model;
          Alcotest.test_case "validation" `Quick test_validation;
-         Alcotest.test_case "faulty stream terminates" `Quick
-           test_faulty_stream_terminates_and_accounts;
        ]);
       ("cross-validation",
        [

@@ -387,17 +387,18 @@ let prop_faulty_deterministic_and_finite =
     ~name:"fuzz: run_faulty is seed-deterministic with sane accounting"
     ~count:150
     QCheck2.Gen.(
-      let gen_params =
+      let gen_stream =
         map3
           (fun issues transfer (compute, lookahead, channels) ->
-            {
-              Mhla_sim.Pipeline.issues;
-              transfer_cycles = transfer;
-              compute_cycles = compute;
-              lookahead;
-              setup_cycles = 2;
-              channels;
-            })
+            ( channels,
+              {
+                Mhla_sim.Event.issues;
+                bytes_per_issue = 0;
+                transfer_cycles = transfer;
+                compute_cycles = compute;
+                lookahead;
+                setup_cycles = 2;
+              } ))
           (int_range 1 50) (int_range 0 60)
           (triple (int_range 0 60) (int_range 0 4) (int_range 1 3))
       in
@@ -415,15 +416,15 @@ let prop_faulty_deterministic_and_finite =
           (pair (int_range 0 20) (int_range 0 500))
           (pair (int_range 0 3) (option (int_range 0 100)))
       in
-      pair gen_params gen_faults)
-    (fun (p, f) ->
-      let a = Mhla_sim.Pipeline.run_faulty f p in
-      let b = Mhla_sim.Pipeline.run_faulty f p in
+      pair gen_stream gen_faults)
+    (fun ((channels, s), f) ->
+      let a = Mhla_sim.Pipeline.run_faulty f ~channels s in
+      let b = Mhla_sim.Pipeline.run_faulty f ~channels s in
       let o = a.Mhla_sim.Pipeline.fault_result in
       a = b
       && o.Mhla_sim.Pipeline.stall_cycles >= 0
       && o.Mhla_sim.Pipeline.total_cycles >= o.Mhla_sim.Pipeline.stall_cycles
-      && a.Mhla_sim.Pipeline.fallbacks <= p.Mhla_sim.Pipeline.issues
+      && a.Mhla_sim.Pipeline.fallbacks <= s.Mhla_sim.Event.issues
       && a.Mhla_sim.Pipeline.retries
          <= a.Mhla_sim.Pipeline.failed_attempts)
 

@@ -4,6 +4,7 @@
 let invalid ?hint context message =
   Mhla_util.Error.(Error (make ?hint Invalid_input ~context message))
 
+module Event = Mhla_sim.Event
 module Pipeline = Mhla_sim.Pipeline
 module Faults = Mhla_sim.Faults
 module Robustness = Mhla_sim.Robustness
@@ -14,69 +15,70 @@ module Prefetch = Mhla_core.Prefetch
 module Build = Mhla_ir.Build
 module Presets = Mhla_arch.Presets
 
-let params ?(issues = 10) ?(transfer = 20) ?(compute = 30) ?(lookahead = 0)
-    ?(setup = 0) ?(channels = 1) () =
+let stream ?(issues = 10) ?(transfer = 20) ?(compute = 30) ?(lookahead = 0)
+    ?(setup = 0) () =
   {
-    Pipeline.issues;
+    Event.issues;
+    bytes_per_issue = 0;
     transfer_cycles = transfer;
     compute_cycles = compute;
     lookahead;
     setup_cycles = setup;
-    channels;
   }
 
 let test_synchronous_stalls_fully () =
-  let p = params ~issues:10 ~transfer:20 ~compute:30 ~lookahead:0 () in
-  let o = Pipeline.run p in
+  let s = stream ~issues:10 ~transfer:20 ~compute:30 ~lookahead:0 () in
+  let o = Pipeline.run ~channels:1 s in
   Alcotest.(check int) "every issue stalls" 200 o.Pipeline.stall_cycles;
-  Alcotest.(check int) "analytic agrees exactly" 200 (Pipeline.analytic_stall p);
+  Alcotest.(check int) "analytic agrees exactly" 200
+    (Pipeline.analytic_stall ~channels:1 s);
   Alcotest.(check int) "makespan" (10 * (20 + 30)) o.Pipeline.total_cycles
 
 let test_single_buffer_hides_when_compute_dominates () =
-  let p = params ~issues:50 ~transfer:20 ~compute:30 ~lookahead:1 () in
-  let o = Pipeline.run p in
-  Alcotest.(check int) "analytic says zero" 0 (Pipeline.analytic_stall p);
+  let s = stream ~issues:50 ~transfer:20 ~compute:30 ~lookahead:1 () in
+  let o = Pipeline.run ~channels:1 s in
+  Alcotest.(check int) "analytic says zero" 0
+    (Pipeline.analytic_stall ~channels:1 s);
   (* Only the cold start (first transfer) can stall. *)
   Alcotest.(check bool) "only cold-start stall" true
     (o.Pipeline.stall_cycles <= 20)
 
 let test_transfer_dominates_compute () =
-  let p = params ~issues:50 ~transfer:50 ~compute:30 ~lookahead:1 () in
-  let o = Pipeline.run p in
+  let s = stream ~issues:50 ~transfer:50 ~compute:30 ~lookahead:1 () in
+  let o = Pipeline.run ~channels:1 s in
   (* Steady state: each iteration waits transfer - compute = 20. *)
-  Alcotest.(check int) "analytic residual" (50 * 20) (Pipeline.analytic_stall p);
+  Alcotest.(check int) "analytic residual" (50 * 20)
+    (Pipeline.analytic_stall ~channels:1 s);
   Alcotest.(check bool) "simulated close to analytic" true
     (abs (o.Pipeline.stall_cycles - 1000) <= 2 * 50)
 
 let test_deep_lookahead () =
-  let p = params ~issues:40 ~transfer:100 ~compute:30 ~lookahead:3 () in
+  let s = stream ~issues:40 ~transfer:100 ~compute:30 ~lookahead:3 () in
   (* The tool's arithmetic assumes the channel keeps up... *)
   Alcotest.(check int) "tool arithmetic: 100 - 90 per issue" (40 * 10)
-    (Pipeline.analytic_stall p);
+    (Pipeline.analytic_stall ~channels:1 s);
   (* ...but a single serial channel saturates: the period is the
      transfer time and each issue still waits transfer - compute. *)
   Alcotest.(check int) "steady state: 100 - 30 per issue" (40 * 70)
-    (Pipeline.steady_state_stall p);
-  let o = Pipeline.run p in
+    (Pipeline.steady_state_stall ~channels:1 s);
+  let o = Pipeline.run ~channels:1 s in
   Alcotest.(check bool) "simulated matches steady state within slack" true
-    (abs (o.Pipeline.stall_cycles - Pipeline.steady_state_stall p)
+    (abs (o.Pipeline.stall_cycles - Pipeline.steady_state_stall ~channels:1 s)
     <= 4 * 100)
 
 let test_zero_transfer () =
-  let p = params ~transfer:0 () in
-  let o = Pipeline.run p in
+  let o = Pipeline.run ~channels:1 (stream ~transfer:0 ()) in
   Alcotest.(check int) "no stalls" 0 o.Pipeline.stall_cycles;
   Alcotest.(check int) "pure compute" 300 o.Pipeline.total_cycles
 
 let test_setup_charged_to_cpu () =
-  let p = params ~issues:10 ~transfer:0 ~compute:10 ~setup:5 () in
-  let o = Pipeline.run p in
+  let s = stream ~issues:10 ~transfer:0 ~compute:10 ~setup:5 () in
+  let o = Pipeline.run ~channels:1 s in
   Alcotest.(check int) "setup adds to the makespan" (10 * 15)
     o.Pipeline.total_cycles
 
 let test_dma_busy_accounting () =
-  let p = params ~issues:7 ~transfer:13 () in
-  let o = Pipeline.run p in
+  let o = Pipeline.run ~channels:1 (stream ~issues:7 ~transfer:13 ()) in
   Alcotest.(check int) "dma busy = issues x transfer" (7 * 13)
     o.Pipeline.dma_busy_cycles
 
@@ -86,23 +88,22 @@ let test_multi_channel_recovers_deep_lookahead () =
      ceil(100/3) - 30 = 4 per issue; the single-channel pipeline would
      stall 70 per issue. The simulation must land in between and far
      below the single-channel case. *)
-  let p =
-    params ~issues:40 ~transfer:100 ~compute:30 ~lookahead:3 ~channels:3 ()
-  in
+  let s = stream ~issues:40 ~transfer:100 ~compute:30 ~lookahead:3 () in
   (* overlap = min (3+1) 3 = 3: floor(100/3) - 30 = 3 per issue. *)
   Alcotest.(check int) "lower bound: floor(100/3) - 30 = 3 per issue"
-    (40 * 3) (Pipeline.steady_state_stall p);
-  let single = Pipeline.steady_state_stall { p with Pipeline.channels = 1 } in
-  let o = Pipeline.run p in
+    (40 * 3) (Pipeline.steady_state_stall ~channels:3 s);
+  let single = Pipeline.steady_state_stall ~channels:1 s in
+  let o = Pipeline.run ~channels:3 s in
   Alcotest.(check bool) "above the work-conservation bound" true
-    (o.Pipeline.stall_cycles + 400 >= Pipeline.steady_state_stall p);
+    (o.Pipeline.stall_cycles + 400
+    >= Pipeline.steady_state_stall ~channels:3 s);
   Alcotest.(check bool) "well below the single-channel stall" true
     (o.Pipeline.stall_cycles < single / 2)
 
 let test_channels_never_hurt () =
-  let stall ch =
-    (Pipeline.run
-       (params ~issues:50 ~transfer:80 ~compute:30 ~lookahead:2 ~channels:ch ()))
+  let stall channels =
+    (Pipeline.run ~channels
+       (stream ~issues:50 ~transfer:80 ~compute:30 ~lookahead:2 ()))
       .Pipeline.stall_cycles
   in
   Alcotest.(check bool) "2 channels <= 1" true (stall 2 <= stall 1);
@@ -111,47 +112,43 @@ let test_channels_never_hurt () =
 let test_param_validation () =
   Alcotest.check_raises "issues 0"
     (invalid "Pipeline.run" "issues must be positive (got 0)") (fun () ->
-      ignore (Pipeline.run (params ~issues:0 ())));
+      ignore (Pipeline.run ~channels:1 (stream ~issues:0 ())));
   Alcotest.check_raises "negative"
     (invalid "Pipeline.run" "negative parameter") (fun () ->
-      ignore (Pipeline.run (params ~transfer:(-1) ())));
+      ignore (Pipeline.run ~channels:1 (stream ~transfer:(-1) ())));
   Alcotest.check_raises "zero channels"
     (invalid "Pipeline.run" "channels must be >= 1 (got 0)") (fun () ->
-      ignore (Pipeline.run (params ~channels:0 ())))
+      ignore (Pipeline.run ~channels:0 (stream ())))
+
+(* A random stream and a channel count, as one pair. *)
+let gen_stream =
+  QCheck2.Gen.(
+    pair
+      (map3
+         (fun issues transfer (compute, lookahead, setup) ->
+           stream ~issues ~transfer ~compute ~lookahead ~setup ())
+         (int_range 1 60) (int_range 0 80)
+         (triple (int_range 0 80) (int_range 0 4) (int_range 0 10)))
+      (int_range 1 4))
 
 let prop_simulated_within_cold_start_bound =
   QCheck2.Test.make
     ~name:"pipeline: simulated stalls within the steady-state bracket"
-    ~count:400
-    QCheck2.Gen.(
-      let p =
-        map3
-          (fun issues transfer (compute, lookahead, setup) ->
-            params ~issues ~transfer ~compute ~lookahead ~setup ())
-          (int_range 1 60) (int_range 0 80)
-          (triple (int_range 0 80) (int_range 0 4) (int_range 0 10))
-      in
-      let p =
-        map2
-          (fun p channels -> { p with Pipeline.channels })
-          p (int_range 1 4)
-      in
-      p)
-    (fun p ->
-      let o = Pipeline.run p in
+    ~count:400 gen_stream
+    (fun (s, channels) ->
+      let o = Pipeline.run ~channels s in
       let bound =
-        (p.Pipeline.lookahead + 1)
-        * (p.Pipeline.transfer_cycles + p.Pipeline.setup_cycles)
+        (s.Event.lookahead + 1)
+        * (s.Event.transfer_cycles + s.Event.setup_cycles)
       in
-      if p.Pipeline.channels = 1 then
-        abs (o.Pipeline.stall_cycles - Pipeline.steady_state_stall p) <= bound
+      if channels = 1 then
+        abs (o.Pipeline.stall_cycles - Pipeline.steady_state_stall ~channels s)
+        <= bound
       else begin
         (* Multi-channel: bracket between the work-conservation lower
            bound and the single-channel upper bound. *)
-        let lower = Pipeline.steady_state_stall p in
-        let upper =
-          Pipeline.steady_state_stall { p with Pipeline.channels = 1 }
-        in
+        let lower = Pipeline.steady_state_stall ~channels s in
+        let upper = Pipeline.steady_state_stall ~channels:1 s in
         o.Pipeline.stall_cycles + bound >= lower
         && o.Pipeline.stall_cycles <= upper + bound
       end)
@@ -164,7 +161,8 @@ let prop_lookahead_monotone =
         (pair (int_range 0 60) (int_range 0 60)))
     (fun (issues, (transfer, compute)) ->
       let stall k =
-        (Pipeline.run (params ~issues ~transfer ~compute ~lookahead:k ()))
+        (Pipeline.run ~channels:1
+           (stream ~issues ~transfer ~compute ~lookahead:k ()))
           .Pipeline.stall_cycles
       in
       stall 1 <= stall 0 && stall 2 <= stall 1 && stall 3 <= stall 2)
@@ -177,48 +175,37 @@ let prop_transfer_monotone =
         (pair (int_range 0 60) (int_range 0 3)))
     (fun (issues, (compute, lookahead)) ->
       let stall t =
-        (Pipeline.run (params ~issues ~transfer:t ~compute ~lookahead ()))
+        (Pipeline.run ~channels:1
+           (stream ~issues ~transfer:t ~compute ~lookahead ()))
           .Pipeline.stall_cycles
       in
       stall 10 <= stall 20 && stall 20 <= stall 40 && stall 40 <= stall 41)
 
 (* --- fault injection --------------------------------------------------- *)
 
-let gen_params =
-  QCheck2.Gen.(
-    let p =
-      map3
-        (fun issues transfer (compute, lookahead, setup) ->
-          params ~issues ~transfer ~compute ~lookahead ~setup ())
-        (int_range 1 60) (int_range 0 80)
-        (triple (int_range 0 80) (int_range 0 4) (int_range 0 10))
-    in
-    map2 (fun p channels -> { p with Pipeline.channels }) p (int_range 1 4))
-
 let test_zero_fault_equals_run () =
   List.iter
-    (fun p ->
-      let o = Pipeline.run p in
-      let f = Pipeline.run_faulty Faults.none p in
+    (fun (s, channels) ->
+      let o = Pipeline.run ~channels s in
+      let f = Pipeline.run_faulty Faults.none ~channels s in
       Alcotest.(check bool) "identical outcome" true
         (f.Pipeline.fault_result = o);
       Alcotest.(check int) "no retries" 0 f.Pipeline.retries;
       Alcotest.(check int) "no fallbacks" 0 f.Pipeline.fallbacks;
       Alcotest.(check int) "no jitter" 0 f.Pipeline.jitter_total_cycles)
     [
-      params ();
-      params ~issues:50 ~transfer:80 ~compute:30 ~lookahead:2 ~setup:5
-        ~channels:2 ();
-      params ~issues:40 ~transfer:100 ~compute:30 ~lookahead:3 ~channels:3 ();
+      (stream (), 1);
+      (stream ~issues:50 ~transfer:80 ~compute:30 ~lookahead:2 ~setup:5 (), 2);
+      (stream ~issues:40 ~transfer:100 ~compute:30 ~lookahead:3 (), 3);
     ]
 
 let prop_zero_fault_identity =
   QCheck2.Test.make
     ~name:"pipeline: run_faulty under Faults.none is run, cycle for cycle"
-    ~count:300 gen_params
-    (fun p ->
-      let f = Pipeline.run_faulty Faults.none p in
-      f.Pipeline.fault_result = Pipeline.run p
+    ~count:300 gen_stream
+    (fun (s, channels) ->
+      let f = Pipeline.run_faulty Faults.none ~channels s in
+      f.Pipeline.fault_result = Pipeline.run ~channels s
       && f.Pipeline.retries = 0 && f.Pipeline.fallbacks = 0
       && f.Pipeline.failed_attempts = 0
       && f.Pipeline.jitter_total_cycles = 0)
@@ -226,17 +213,17 @@ let prop_zero_fault_identity =
 let prop_jitter_never_helps =
   QCheck2.Test.make
     ~name:"pipeline: jitter-only faults never reduce stalls" ~count:200
-    QCheck2.Gen.(pair gen_params (pair (int_range 0 30) (int_range 0 100)))
-    (fun (p, (max_extra, seed)) ->
+    QCheck2.Gen.(pair gen_stream (pair (int_range 0 30) (int_range 0 100)))
+    (fun ((s, channels), (max_extra, seed)) ->
       let f =
         Faults.make
           ~jitter:(Faults.Uniform { max_extra_cycles = max_extra })
           ~seed:(Int64.of_int seed) ()
       in
-      let faulty = Pipeline.run_faulty f p in
+      let faulty = Pipeline.run_faulty f ~channels s in
       faulty.Pipeline.fallbacks = 0
       && faulty.Pipeline.fault_result.Pipeline.stall_cycles
-         >= (Pipeline.run p).Pipeline.stall_cycles)
+         >= (Pipeline.run ~channels s).Pipeline.stall_cycles)
 
 let jittery seed =
   Faults.make
@@ -244,14 +231,13 @@ let jittery seed =
     ~failure_permille:200 ~seed ()
 
 let test_faulty_reproducible () =
-  let p =
-    params ~issues:200 ~transfer:40 ~compute:30 ~lookahead:2 ~setup:5
-      ~channels:2 ()
+  let s =
+    stream ~issues:200 ~transfer:40 ~compute:30 ~lookahead:2 ~setup:5 ()
   in
-  let a = Pipeline.run_faulty (jittery 7L) p in
-  let b = Pipeline.run_faulty (jittery 7L) p in
+  let a = Pipeline.run_faulty (jittery 7L) ~channels:2 s in
+  let b = Pipeline.run_faulty (jittery 7L) ~channels:2 s in
   Alcotest.(check bool) "same seed, same trace" true (a = b);
-  let c = Pipeline.run_faulty (jittery 8L) p in
+  let c = Pipeline.run_faulty (jittery 8L) ~channels:2 s in
   Alcotest.(check bool) "different seed, different trace" true (a <> c);
   Alcotest.(check bool) "faults actually injected" true
     (a.Pipeline.failed_attempts > 0 && a.Pipeline.retries > 0);
@@ -261,9 +247,9 @@ let test_faulty_reproducible () =
        < a.Pipeline.fault_result.Pipeline.total_cycles)
 
 let test_fallback_on_exhaustion () =
-  let p = params ~issues:10 ~transfer:20 ~compute:30 ~lookahead:1 () in
+  let s = stream ~issues:10 ~transfer:20 ~compute:30 ~lookahead:1 () in
   let f = Faults.make ~failure_permille:1000 ~max_retries:2 ~seed:1L () in
-  let r = Pipeline.run_faulty f p in
+  let r = Pipeline.run_faulty f ~channels:1 s in
   Alcotest.(check int) "every transfer exhausts its retries" 10
     r.Pipeline.fallbacks;
   Alcotest.(check int) "three attempts each" 30 r.Pipeline.failed_attempts;
@@ -272,14 +258,14 @@ let test_fallback_on_exhaustion () =
     r.Pipeline.fault_result.Pipeline.stall_cycles
 
 let test_outage_pushes_start () =
-  let p = params ~issues:4 ~transfer:10 ~compute:10 ~lookahead:1 () in
+  let s = stream ~issues:4 ~transfer:10 ~compute:10 ~lookahead:1 () in
   let f =
     Faults.make
       ~outages:[ { Faults.channel = 0; from_cycle = 0; until_cycle = 100 } ]
       ~seed:0L ()
   in
-  let r = Pipeline.run_faulty f p in
-  let base = Pipeline.run p in
+  let r = Pipeline.run_faulty f ~channels:1 s in
+  let base = Pipeline.run ~channels:1 s in
   Alcotest.(check bool) "outage adds stalls" true
     (r.Pipeline.fault_result.Pipeline.stall_cycles
     > base.Pipeline.stall_cycles)
@@ -287,9 +273,9 @@ let test_outage_pushes_start () =
 let test_deadline_fallback () =
   (* No lookahead: every iteration would stall the full 50-cycle
      transfer; a 10-cycle patience refetches synchronously instead. *)
-  let p = params ~issues:5 ~transfer:50 ~compute:10 ~lookahead:0 () in
+  let s = stream ~issues:5 ~transfer:50 ~compute:10 ~lookahead:0 () in
   let f = Faults.make ~deadline_patience:10 ~seed:0L () in
-  let r = Pipeline.run_faulty f p in
+  let r = Pipeline.run_faulty f ~channels:1 s in
   Alcotest.(check int) "every iteration abandons the late transfer" 5
     r.Pipeline.fallbacks
 
@@ -370,6 +356,45 @@ let test_robustness_report () =
     report.Robustness.plans;
   ignore (Mhla_util.Json.to_string (Robustness.to_json report));
   ignore (Mhla_util.Table.render (Robustness.to_table report))
+
+(* The robustness report of every application, pinned to the byte: bench
+   EXT-FAULT's fault model (uniform jitter up to 8 cycles, 2 % corrupt
+   transfers, seed 42) over four trials of each app's default solve.
+   The literals are MD5 digests of the report's compact JSON. *)
+let test_robustness_apps_pinned () =
+  let faults =
+    Faults.make
+      ~jitter:(Faults.Uniform { max_extra_cycles = 8 })
+      ~failure_permille:20 ~seed:42L ()
+  in
+  let expected =
+    [ ("motion_estimation", "db72bec88850da349d73108b6a70bbe7");
+      ("qsdpcm", "a56a87cc6bea1dd27e4bfc223c606ff3");
+      ("cavity_detector", "509d0a6032233007b663d1f1f7e4db70");
+      ("wavelet_2d", "a484e925c635ff6e9ce73845b9c94410");
+      ("jpeg_encoder", "d36772893a96ab91b6931f2167633871");
+      ("edge_detection", "c06b7fc3c46512ce8f110263e79511b7");
+      ("adpcm_coder", "809331b2b01bb222f0644688b1ee5233");
+      ("mp3_filterbank", "d1a4c5bb865e990bec45b9df76e24ad9");
+      ("voice_compression", "1e74adf92a212a716ca78f9cb01d8ca6") ]
+  in
+  let digest (app : Mhla_apps.Defs.t) =
+    let h =
+      Presets.two_level ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes ()
+    in
+    let r = Explore.run (Lazy.force app.Mhla_apps.Defs.program) h in
+    let report =
+      Robustness.analyze ~trials:4 ~faults r.Explore.assign.Assign.mapping
+        r.Explore.te
+    in
+    ( app.Mhla_apps.Defs.name,
+      Digest.to_hex
+        (Digest.string
+           (Mhla_util.Json.to_string (Robustness.to_json report))) )
+  in
+  Alcotest.(check (list (pair string string)))
+    "report digests" expected
+    (List.map digest Mhla_apps.Registry.all)
 
 (* The analytic model assumes the DMA keeps up with the lookahead; a
    hand-hostile plan (deep extension, transfer time many times the
@@ -460,6 +485,8 @@ let () =
             test_outage_pushes_start;
           Alcotest.test_case "deadline fallback" `Quick test_deadline_fallback;
           Alcotest.test_case "robustness report" `Quick test_robustness_report;
+          Alcotest.test_case "robustness reports pinned, nine apps" `Quick
+            test_robustness_apps_pinned;
           qc prop_zero_fault_identity;
           qc prop_jitter_never_helps;
         ] );

@@ -664,6 +664,30 @@ let test_pool_reuses_workers () =
   Alcotest.(check (list int)) "the same domains serve the next call"
     (List.sort compare first) (List.sort compare again)
 
+let test_pool_detached_jobs_reuse_a_worker () =
+  let run_detached job =
+    let seen = ref (-1) in
+    let outcome =
+      Domain_pool.await
+        (Domain_pool.start (fun () ->
+             seen := (Domain.self () :> int);
+             job ()))
+    in
+    (!seen, outcome)
+  in
+  let first, ok = run_detached ignore in
+  Alcotest.(check bool) "the job ran" true (Result.is_ok ok);
+  Alcotest.(check bool) "on a worker, not the caller" true
+    (first <> (Domain.self () :> int));
+  let second, _ = run_detached ignore in
+  Alcotest.(check int) "the next job runs on the same domain" first second;
+  let third, failed = run_detached (fun () -> failwith "detached") in
+  (match failed with
+  | Error (Failure m, _) ->
+    Alcotest.(check string) "failure reported" "detached" m
+  | _ -> Alcotest.fail "a failing job must be reported by await");
+  Alcotest.(check int) "a failed job's worker is kept too" first third
+
 let test_pool_survives_worker_failure () =
   let before = worker_domains ~jobs:2 in
   Alcotest.check_raises "a failing [around] re-raises" (Failure "around")
@@ -791,6 +815,8 @@ let () =
             test_pool_reuses_workers;
           Alcotest.test_case "survives a worker failure" `Quick
             test_pool_survives_worker_failure;
+          Alcotest.test_case "detached jobs reuse a worker" `Quick
+            test_pool_detached_jobs_reuse_a_worker;
         ] );
       ( "table",
         [
