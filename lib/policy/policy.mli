@@ -14,18 +14,15 @@
     [run] is {!Mhla_core.Explore.run} with the three knobs set from
     the policy; {!greedy} reproduces the default pipeline
     bit-identically (the regression tests assert it). Policies are
-    plain data so the portfolio can race them and the registry can
-    name them; only the [Model] filter drags a fitted predictor
-    along. *)
+    plain data, so the portfolio can race them and the registry can
+    name them. *)
 
 (** The CC-selection policies. [Keep_all] is the pre-policy behaviour
     (every useful candidate). [Top_k k] keeps, per access, the [k]
     candidates with the highest reuse factor under the config's
-    transfer mode (stable on ties, so deterministic). [Model m]
-    keeps candidates the fitted {!Predictor} expects to improve the
-    objective. [Direct] always remains an alternative, so every
-    filter is safe. *)
-type cc_filter = Keep_all | Top_k of int | Model of Predictor.model
+    transfer mode (stable on ties, so deterministic). [Direct] always
+    remains an alternative, so every filter is safe. *)
+type cc_filter = Keep_all | Top_k of int
 
 type t = {
   name : string;  (** registry key, also used in reports *)
@@ -43,7 +40,7 @@ val make :
 (** Defaults reproduce {!greedy}: steepest descent, time-over-size TE
     ordering, no CC filtering. *)
 
-(** {2 The built-in policies} (see {!Registry.builtins}) *)
+(** {2 The built-in policies} (named by {!Registry.find}) *)
 
 val greedy : t
 (** ["greedy"] — the default pipeline, bit-identical to
@@ -65,17 +62,6 @@ val lean : t
 (** ["lean"] — greedy step 1 over only the single best candidate per
     access ([Top_k 1]): the cheap end of the probe-budget spectrum. *)
 
-val predictor : Predictor.model -> t
-(** ["predictor"] — greedy step 1 with the fitted model filtering
-    candidates before any engine probe is spent on them. *)
-
-val install :
-  config:Mhla_core.Assign.config -> Mhla_ir.Program.t -> t ->
-  Mhla_core.Assign.config
-(** The config with this policy's [cc_filter] closure set (closing
-    over the config's transfer mode and the program). [Keep_all]
-    installs [None], keeping the config structurally comparable. *)
-
 val run :
   ?config:Mhla_core.Assign.config ->
   ?telemetry:Mhla_obs.Telemetry.t ->
@@ -86,6 +72,7 @@ val run :
   Mhla_ir.Program.t ->
   Mhla_arch.Hierarchy.t ->
   Mhla_core.Explore.result
-(** The full flow under this policy — [Explore.run] with the config
-    from {!install}, the policy's search and its TE order; [on_commit]
+(** The full flow under this policy — [Explore.run] with the
+    policy's [cc_filter] set in [config] (under the config's transfer
+    mode), its search and its TE order; [on_commit]
     is handed to the step-1 search (see {!Mhla_core.Explore.run}). *)

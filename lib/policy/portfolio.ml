@@ -40,8 +40,8 @@ let race ?(config = Assign.default_config) ?jobs
     @@ fun () ->
     (* Each entrant gets its own in-loop verifier (they run in separate
        worker domains); the observer never feeds back into the search,
-       so a verified race is bit-identical to a plain one. The policy's
-       [install] only sets the candidate filter — the sizing knobs
+       so a verified race is bit-identical to a plain one. A policy
+       only sets the candidate filter — the sizing knobs
        [of_config] reads are untouched — so the verifier's assumptions
        match the entrant's search. *)
     let live =

@@ -6,10 +6,6 @@
     unknown ones with the same typed
     {!Mhla_util.Error.Error} ([Invalid_input], CLI exit 2). *)
 
-val search_names : string list
-(** The canonical spellings: ["greedy"], ["first-improvement"],
-    ["anneal"]. *)
-
 val search_of_name :
   ?context:string ->
   ?seed:int64 ->
@@ -20,17 +16,14 @@ val search_of_name :
     ["first"], ["greedy-first"]); ["anneal"] (also ["annealing"]),
     which takes [seed] (default [42L]) and [iterations] (default
     [4000]).
-    @raise Mhla_util.Error.Error ([Invalid_input], with the known
-    names in the hint) on anything else. [context] names the caller
+    @raise Mhla_util.Error.Error ([Invalid_input], with the canonical
+    names ["greedy"], ["first-improvement"] and ["anneal"] in the
+    hint) on anything else. [context] names the caller
     in the diagnostic. *)
 
-val builtins : Policy.t list
-(** Every nameable policy, in canonical order: greedy, greedy-first,
-    anneal, te-fifo, te-size, lean. (The predictor policy needs a
-    fitted model, so it is built with {!Policy.predictor}, not
-    named here.) *)
-
 val names : string list
+(** Every nameable policy, in canonical order: greedy, greedy-first,
+    anneal, te-fifo, te-size, lean. *)
 
 val find : ?context:string -> string -> Policy.t
 (** @raise Mhla_util.Error.Error ([Invalid_input], hint lists

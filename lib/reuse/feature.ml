@@ -1,9 +1,3 @@
-let names =
-  [ "bias"; "reuse_ratio"; "log_footprint_bytes"; "log_trip_product";
-    "level"; "freedom_depth" ]
-
-let dim = List.length names
-
 (* Per-dimension value ranges of an access over its loops' full
    domains: the bounding box of everything the access can ever touch. *)
 let access_box (loops : (string * int) list) (a : Mhla_ir.Access.t) =
@@ -90,18 +84,3 @@ let freedom_loops program (info : Analysis.info) (c : Candidate.t) =
         else iter :: take_free rest
     in
     take_free innermost_first
-
-let freedom_depth program info c = List.length (freedom_loops program info c)
-
-let vector ~transfer_mode program (info : Analysis.info) (c : Candidate.t) =
-  let trip_product =
-    List.fold_left (fun acc (_, t) -> acc * max 1 t) 1 info.Analysis.loops
-  in
-  [|
-    1.0;
-    Candidate.reuse_factor transfer_mode c;
-    log (1. +. float_of_int c.Candidate.footprint_bytes);
-    log (1. +. float_of_int trip_product);
-    float_of_int c.Candidate.level;
-    float_of_int (freedom_depth program info c);
-  |]

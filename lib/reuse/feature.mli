@@ -1,24 +1,10 @@
-(** Cheap per-candidate features for learned copy-candidate filtering.
+(** Prefetch freedom of a copy candidate.
 
-    The predict-then-filter split of the policy layer needs a feature
-    vector that is computable from the reuse analysis alone — no
-    mapping, no cost model, no engine probe — so that a fitted
-    predictor can discard candidates {e before} the search spends
-    engine probes on them. Everything here derives from the program,
-    the access's {!Analysis.info} and the {!Candidate} record.
-
-    The freedom-loop walk (how many enclosing loops a prefetch of the
-    candidate could be extended across without racing a producer) is
-    shared with {!Mhla_core.Prefetch}, which delegates to
-    {!freedom_loops} — one dependence analysis, two consumers. *)
-
-val names : string list
-(** Feature names, in vector order: [bias], [reuse_ratio],
-    [log_footprint_bytes], [log_trip_product], [level], and
-    [freedom_depth]. *)
-
-val dim : int
-(** [List.length names]. *)
+    How many enclosing loops a prefetch of a candidate could be
+    advanced across without racing a producer, computed from the
+    program, the access's {!Analysis.info} and the {!Candidate} record
+    alone: no mapping and no cost model. {!Mhla_core.Prefetch}
+    delegates its Time-Extension freedom walk here. *)
 
 val freedom_loops :
   Mhla_ir.Program.t -> Analysis.info -> Candidate.t -> string list
@@ -29,17 +15,3 @@ val freedom_loops :
     of the drained region). Innermost first; empty for level-0
     candidates (no refresh loop) or when the refresh loop itself
     carries the dependence. *)
-
-val freedom_depth :
-  Mhla_ir.Program.t -> Analysis.info -> Candidate.t -> int
-(** [List.length (freedom_loops program info c)]. *)
-
-val vector :
-  transfer_mode:Candidate.transfer_mode ->
-  Mhla_ir.Program.t ->
-  Analysis.info ->
-  Candidate.t ->
-  float array
-(** The feature vector of one candidate, [dim] wide, ordered as
-    {!names}. Deterministic; logarithms compress the byte/trip scales
-    so least-squares weights stay comparable across programs. *)

@@ -44,87 +44,6 @@ let dma_of_arch = function
     ->
     dma
 
-let check_kind ~context ~arch ~transfer_mode ~fault_spec = function
-  | Solve -> ()
-  | Pareto { axes } ->
-    if transfer_mode <> Candidate.Delta then
-      Error.invalidf ~context
-        "a pareto request cannot set a transfer mode (the \"mode\" field \
-         carries \"pareto\")";
-    if fault_spec <> None then
-      Error.invalidf ~context
-        "the faults rider applies to a single solve, not a pareto surface";
-    let expected = on_chip_levels arch in
-    if List.length axes <> expected then
-      Error.invalidf ~context
-        "the grid has %d axes but the arch has %d on-chip level(s)"
-        (List.length axes) expected
-  | Portfolio { policies } ->
-    if transfer_mode <> Candidate.Delta then
-      Error.invalidf ~context
-        "a portfolio request cannot set a transfer mode (the \"mode\" \
-         field carries \"portfolio\")";
-    if fault_spec <> None then
-      Error.invalidf ~context
-        "the faults rider applies to a single solve, not a portfolio race";
-    if policies = [] then
-      Error.invalidf ~context "a portfolio must name at least one policy";
-    (* Names are validated here — at the boundary — so a bad one is a
-       decode error, not a worker crash mid-race. *)
-    List.iter
-      (fun name -> ignore (Mhla_policy.Registry.find ~context name))
-      policies
-  | Simulate { channels; queue_depth } ->
-    if transfer_mode <> Candidate.Delta then
-      Error.invalidf ~context
-        "a simulate request cannot set a transfer mode (the \"mode\" \
-         field carries \"simulate\")";
-    if fault_spec <> None then
-      Error.invalidf ~context
-        "the faults rider drives the robustness trials, not the event \
-         simulator";
-    (match channels with
-    | Some c when c < 1 ->
-      Error.invalidf ~context "channels must be >= 1 (got %d)" c
-    | _ -> ());
-    (match queue_depth with
-    | Some d when d < 1 ->
-      Error.invalidf ~context "queue_depth must be >= 1 (got %d)" d
-    | _ -> ())
-
-let check_policy ~context ~kind ~search = function
-  | None -> ()
-  | Some name ->
-    ignore (Mhla_policy.Registry.find ~context name);
-    (match kind with
-    | Solve | Simulate _ -> ()
-    | Pareto _ | Portfolio _ ->
-      Error.invalidf ~context
-        "the \"policy\" field applies to a single solve");
-    if search <> Explore.Greedy then
-      Error.invalidf ~context
-        "\"policy\" conflicts with \"search\" (the policy already fixes \
-         the step-1 search)"
-
-let make ?(kind = Solve) ?(objective = Cost.Energy_delay)
-    ?(transfer_mode = Candidate.Delta) ?(search = Explore.Greedy) ?policy
-    ?deadline_ms ?fault_spec ?(inject = No_inject) ~id ~arch program =
-  check_kind ~context:"Request.make" ~arch ~transfer_mode ~fault_spec kind;
-  check_policy ~context:"Request.make" ~kind ~search policy;
-  {
-    id;
-    program;
-    arch;
-    kind;
-    objective;
-    transfer_mode;
-    search;
-    policy;
-    deadline_ms;
-    fault_spec;
-    inject;
-  }
-
 let hierarchy t =
   match t.arch with
   | Two_level { onchip_bytes; dma } ->
@@ -382,6 +301,104 @@ let inject_of_json ~path j =
   match as_str ~path j with
   | "raise" -> Raise
   | s -> fail ~path "bad inject %S" s
+
+(* The wire carries a fault rider's seed, uniform jitter, failure rate
+   and trial count; every other knob rides at its [Faults.make] default.
+   A rider outside that shape would change on its way through
+   [to_json], so it is refused at the boundary instead. *)
+let check_carried ~context fs =
+  let carried =
+    match fault_spec_of_json ~path:"faults" (fault_spec_to_json fs) with
+    | back -> back = fs
+    | exception Error.Error _ -> false
+  in
+  if not carried then
+    Error.invalidf ~context
+      ~hint:
+        "the wire carries seed, uniform jitter, failure_permille and \
+         trials >= 1; other fault knobs must stay at their defaults"
+      "the faults rider cannot be carried by the request wire"
+
+let check_kind ~context ~arch ~transfer_mode ~fault_spec = function
+  | Solve -> Option.iter (check_carried ~context) fault_spec
+  | Pareto { axes } ->
+    if transfer_mode <> Candidate.Delta then
+      Error.invalidf ~context
+        "a pareto request cannot set a transfer mode (the \"mode\" field \
+         carries \"pareto\")";
+    if fault_spec <> None then
+      Error.invalidf ~context
+        "the faults rider applies to a single solve, not a pareto surface";
+    let expected = on_chip_levels arch in
+    if List.length axes <> expected then
+      Error.invalidf ~context
+        "the grid has %d axes but the arch has %d on-chip level(s)"
+        (List.length axes) expected
+  | Portfolio { policies } ->
+    if transfer_mode <> Candidate.Delta then
+      Error.invalidf ~context
+        "a portfolio request cannot set a transfer mode (the \"mode\" \
+         field carries \"portfolio\")";
+    if fault_spec <> None then
+      Error.invalidf ~context
+        "the faults rider applies to a single solve, not a portfolio race";
+    if policies = [] then
+      Error.invalidf ~context "a portfolio must name at least one policy";
+    (* Names are validated here — at the boundary — so a bad one is a
+       decode error, not a worker crash mid-race. *)
+    List.iter
+      (fun name -> ignore (Mhla_policy.Registry.find ~context name))
+      policies
+  | Simulate { channels; queue_depth } ->
+    if transfer_mode <> Candidate.Delta then
+      Error.invalidf ~context
+        "a simulate request cannot set a transfer mode (the \"mode\" \
+         field carries \"simulate\")";
+    if fault_spec <> None then
+      Error.invalidf ~context
+        "the faults rider drives the robustness trials, not the event \
+         simulator";
+    (match channels with
+    | Some c when c < 1 ->
+      Error.invalidf ~context "channels must be >= 1 (got %d)" c
+    | _ -> ());
+    (match queue_depth with
+    | Some d when d < 1 ->
+      Error.invalidf ~context "queue_depth must be >= 1 (got %d)" d
+    | _ -> ())
+
+let check_policy ~context ~kind ~search = function
+  | None -> ()
+  | Some name ->
+    ignore (Mhla_policy.Registry.find ~context name);
+    (match kind with
+    | Solve | Simulate _ -> ()
+    | Pareto _ | Portfolio _ ->
+      Error.invalidf ~context
+        "the \"policy\" field applies to a single solve");
+    if search <> Explore.Greedy then
+      Error.invalidf ~context
+        "\"policy\" conflicts with \"search\" (the policy already fixes \
+         the step-1 search)"
+
+let make ?(kind = Solve) ?(objective = Cost.Energy_delay)
+    ?(transfer_mode = Candidate.Delta) ?(search = Explore.Greedy) ?policy
+    ?deadline_ms ?fault_spec ?(inject = No_inject) ~id ~arch program =
+  check_kind ~context:"Request.make" ~arch ~transfer_mode ~fault_spec kind;
+  check_policy ~context:"Request.make" ~kind ~search policy;
+  {
+    id;
+    program;
+    arch;
+    kind;
+    objective;
+    transfer_mode;
+    search;
+    policy;
+    deadline_ms;
+    fault_spec;
+    inject;
+  }
 
 let of_json j =
   let path = "$" in

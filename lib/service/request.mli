@@ -124,7 +124,11 @@ val make :
   t
 (** Defaults: a single solve, energy-delay, delta transfers, greedy
     search, no policy, no deadline, no faults, no injection.
-    @raise Mhla_util.Error.Error ([Invalid_input]) when a [Pareto]
+    @raise Mhla_util.Error.Error ([Invalid_input]) when a fault rider
+    sets anything the wire cannot carry (bursty jitter, outages,
+    retry, backoff or deadline-patience knobs off their
+    {!Mhla_sim.Faults.make} defaults, a seed outside the native int
+    range, or fewer than one trial); when a [Pareto]
     kind carries a non-default transfer mode or a fault rider, or its
     axis count differs from the arch's on-chip level count; when a
     [Portfolio] kind is empty, names an unknown policy, or carries a

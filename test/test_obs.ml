@@ -1,6 +1,7 @@
 (* Tests for the telemetry layer (Mhla_obs): span well-formedness
    under random nesting, noop neutrality on the full flow, and the
-   deterministic worker-sink merge behind parallel sweeps. *)
+   deterministic worker-sink merge behind parallel sweeps and portfolio
+   races. *)
 
 module Telemetry = Mhla_obs.Telemetry
 module Trace_export = Mhla_obs.Trace_export
@@ -216,10 +217,23 @@ let test_merge_deterministic () =
     [ ("level", 2.); ("work", 3.) ]
     (Telemetry.counter_values parent)
 
-(* The merged event multiset of a parallel sweep must not depend on the
+(* The merged event multiset of a parallel run must not depend on the
    worker count: jobs:1 and jobs:3 agree event for event once seq, tid,
    timestamps and the per-worker wrapper spans (all scheduling
    artefacts) are erased. *)
+let event_multiset ~worker t =
+  let shape (e : Telemetry.event) =
+    ( Telemetry.kind_label e.Telemetry.kind,
+      e.Telemetry.cat,
+      e.Telemetry.name,
+      e.Telemetry.args )
+  in
+  List.filter_map
+    (fun (e : Telemetry.event) ->
+      if e.Telemetry.name = worker then None else Some (shape e))
+    (Telemetry.events t)
+  |> List.sort compare
+
 let test_sweep_jobs_event_multiset () =
   let app = Apps.find_exn "motion_estimation" in
   let program = Lazy.force app.Mhla_apps.Defs.program in
@@ -227,18 +241,7 @@ let test_sweep_jobs_event_multiset () =
   let sweep jobs =
     let t = collector () in
     let points = Explore.sweep ~jobs ~telemetry:t ~sizes program in
-    let shape (e : Telemetry.event) =
-      ( Telemetry.kind_label e.Telemetry.kind,
-        e.Telemetry.cat,
-        e.Telemetry.name,
-        e.Telemetry.args )
-    in
-    let payload =
-      List.filter
-        (fun (e : Telemetry.event) -> e.Telemetry.name <> "sweep.worker")
-        (Telemetry.events t)
-    in
-    (points, List.sort compare (List.map shape payload))
+    (points, event_multiset ~worker:"sweep.worker" t)
   in
   let points1, events1 = sweep 1 in
   let points3, events3 = sweep 3 in
@@ -247,6 +250,44 @@ let test_sweep_jobs_event_multiset () =
     "same event count"
     (List.length events1) (List.length events3);
   Alcotest.(check bool) "same event multiset" true (events1 = events3)
+
+(* The same pin for a portfolio race, plus the merged counter totals:
+   the entrants' child sinks must sum to the same values whichever
+   worker ran which entrant. *)
+let test_portfolio_jobs_telemetry () =
+  List.iter
+    (fun name ->
+      let app = Apps.find_exn name in
+      let program = Lazy.force app.Mhla_apps.Defs.program in
+      let hierarchy =
+        Mhla_arch.Presets.two_level
+          ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes ()
+      in
+      let race jobs =
+        let t = collector () in
+        let outcome =
+          Mhla_policy.Portfolio.race ~jobs ~telemetry:t
+            ~policies:Mhla_policy.Registry.default_portfolio program
+            hierarchy
+        in
+        ( outcome.Mhla_policy.Portfolio.winner.Mhla_policy.Portfolio.objective,
+          event_multiset ~worker:"portfolio.worker" t,
+          Telemetry.counter_values t )
+      in
+      let objective1, events1, counters1 = race 1 in
+      let objective3, events3, counters3 = race 3 in
+      Alcotest.(check bool) (name ^ ": counters recorded") true
+        (counters1 <> []);
+      Alcotest.(check (float 0.)) (name ^ ": same winner objective")
+        objective1 objective3;
+      Alcotest.(check int)
+        (name ^ ": same event count")
+        (List.length events1) (List.length events3);
+      Alcotest.(check bool) (name ^ ": same event multiset") true
+        (events1 = events3);
+      Alcotest.(check (list (pair string (float 0.))))
+        (name ^ ": same counter values") counters1 counters3)
+    [ "motion_estimation"; "adpcm_coder" ]
 
 (* --- export ------------------------------------------------------------ *)
 
@@ -310,6 +351,8 @@ let () =
             test_merge_deterministic;
           Alcotest.test_case "sweep event multiset independent of jobs" `Slow
             test_sweep_jobs_event_multiset;
+          Alcotest.test_case "portfolio telemetry independent of jobs" `Slow
+            test_portfolio_jobs_telemetry;
         ] );
       ( "export",
         [

@@ -255,6 +255,23 @@ let test_service_simulate_end_to_end () =
     | _ -> Alcotest.fail "payload is not an object")
   | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
 
+(* The wire carries seed, uniform jitter, failure rate and trials only;
+   a rider setting any other knob would not survive [to_json], so
+   [make] refuses it rather than break the round-trip promise. *)
+let test_request_uncarried_faults_rejected () =
+  List.iter
+    (fun (name, faults) ->
+      check_invalid name (fun () ->
+          sample 0 ~fault_spec:{ Request.faults; trials = 4 }))
+    [
+      ("max_retries 5", Faults.make ~max_retries:5 ~seed:1L ());
+      ( "bursty jitter",
+        Faults.make
+          ~jitter:(Faults.Bursty { permille = 100; extra_cycles = 8 })
+          ~seed:1L () );
+      ("deadline_patience 10", Faults.make ~deadline_patience:10 ~seed:1L ());
+    ]
+
 let test_id_salvage () =
   Alcotest.(check (option string))
     "id salvaged" (Some "half-broken")
@@ -468,6 +485,8 @@ let () =
           Alcotest.test_case "simulate decode errors" `Quick
             test_request_simulate_decode_errors;
           Alcotest.test_case "id salvage" `Quick test_id_salvage;
+          Alcotest.test_case "uncarried fault riders rejected" `Quick
+            test_request_uncarried_faults_rejected;
         ] );
       ( "executor",
         [
